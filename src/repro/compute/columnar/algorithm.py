@@ -20,14 +20,16 @@ Execution plan:
    2^N super-aggregate fold projects one dimension at a time, smallest
    cardinality first, through the shared slab addressing
    (:func:`repro.core.addressing.iter_slab_offsets`).
-4. **Vector half, sparse route** (otherwise): rows are grouped to
+4. **Vector half, sparse route** (otherwise):
+   :func:`repro.compute.columnar.core.core_scratchpads` groups rows to
    dense group ids over the lattice core's dimensions (first-seen
-   order, matching from-core's cell discovery order), kernels
-   scatter-aggregate per group, and each group's accumulator is
-   rebuilt into ordinary scratchpad handles.  The super-aggregate walk
-   is then *literally* :func:`repro.compute.from_core.fold_super_aggregates`
-   -- which is what makes sparse columnar results bit-identical to the
-   from-core row path by construction.
+   order, matching from-core's cell discovery order), scatter-aggregates
+   per group, and rebuilds each group's accumulator into ordinary
+   scratchpad handles -- the same function that builds a cached
+   cuboid's core.  The super-aggregate walk is then *literally*
+   :func:`repro.compute.from_core.fold_super_aggregates` -- which is
+   what makes sparse columnar results bit-identical to the from-core
+   row path by construction.
 
 The kernels auto-select numpy when importable and fall back to pure
 python otherwise (``force_python=True`` pins the fallback, used by the
@@ -41,16 +43,13 @@ from dataclasses import replace
 from typing import Any
 
 from repro.compute.base import CubeAlgorithm, CubeResult, CubeTask
-from repro.compute.columnar.batch import (
-    BATCH_ROWS,
-    ColumnBatch,
-    numpy_backend,
+from repro.compute.columnar.batch import ColumnBatch, numpy_backend
+from repro.compute.columnar.core import (
+    core_scratchpads,
+    flat_offsets,
+    kernel_positions,
 )
-from repro.compute.columnar.kernels import (
-    kernel_for,
-    kernel_needs_numeric,
-    make_state,
-)
+from repro.compute.columnar.kernels import kernel_for, make_state
 from repro.compute.from_core import finalize_nodes, fold_super_aggregates
 from repro.compute.stats import ComputeStats
 from repro.core.addressing import dense_shape, dense_strides, iter_slab_offsets
@@ -117,16 +116,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
             batch = ColumnBatch.from_task(task)
         stats.notes["backend"] = "numpy" if xp is not None else "python"
 
-        vector_positions = [
-            p for p, fn in enumerate(task.functions)
-            if kernel_for(fn) is not None
-            and (not kernel_needs_numeric(fn) or batch.aggs[p].numeric)
-            # a float64 MIN/MAX can't tell which *type* won a cross-type
-            # tie, so mixed int/float columns stay on the exact row path
-            # (the pure-python kernels fold raw objects and are exact)
-            and (xp is None or kernel_for(fn) not in ("min", "max")
-                 or not batch.aggs[p].mixed_number_types)
-        ]
+        vector_positions = kernel_positions(task.functions, batch, xp)
         residual_positions = [p for p in range(task.n_aggs)
                               if p not in vector_positions]
 
@@ -230,7 +220,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         rctx.charge_cells(dense_slots, "columnar dense allocation")
         stats.start_calls += dense_slots * task.n_aggs
 
-        slots = self._flat_offsets(batch, range(n), strides, xp)
+        slots = flat_offsets(batch, range(n), strides, xp)
 
         if xp is None:
             counts = [0] * dense_slots
@@ -312,84 +302,8 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
     def _sparse(self, task: CubeTask, batch: ColumnBatch, columns: list,
                 xp, stats: ComputeStats) -> list[tuple]:
-        n = task.n_dims
-        lattice = CubeLattice(task.dims, task.masks)
-        core_mask = lattice.core
-        core_dims = [i for i in range(n) if core_mask & (1 << i)]
-
-        # flat keys over the core dimensions only (mixed radix of their
-        # real cardinalities -- no ALL slots here, the fold adds those)
-        cards = batch.cardinalities()
-        core_strides = {}
-        stride = 1
-        for i in reversed(core_dims):
-            core_strides[i] = stride
-            stride *= cards[i]
-        flat = self._flat_offsets(batch, core_dims, core_strides, xp)
-        if xp is not None:
-            flat = flat.tolist()
-
-        # group ids in first-seen row order, matching from-core's core
-        # cell insertion order (so downstream float merges agree bitwise)
-        group_of: dict[int, int] = {}
-        gids = [0] * batch.n_rows
-        representatives: list[int] = []
-        for start in range(0, batch.n_rows, BATCH_ROWS):
-            rctx.checkpoint("columnar group scan")
-            for i in range(start, min(start + BATCH_ROWS, batch.n_rows)):
-                key = flat[i]
-                gid = group_of.get(key)
-                if gid is None:
-                    gid = group_of[key] = len(group_of)
-                    representatives.append(i)
-                gids[i] = gid
-        n_groups = len(group_of)
-
-        rctx.charge_cells(n_groups, "columnar core groups")
-        stats.start_calls += n_groups * task.n_aggs
-
-        slots = (xp.asarray(gids, dtype=xp.int64)
-                 if xp is not None else gids)
-        with trace.span("cube.node", dims=task.mask_label(core_mask),
-                        role="core", rows=len(task.rows)) as span:
-            states = []
-            for fn, column in zip(task.functions, columns):
-                state = make_state(kernel_for(fn), n_groups, xp)
-                stats.iter_calls += state.scatter(slots, column)
-                states.append(state)
-            core_cells = {}
-            rows = task.rows
-            for gid in range(n_groups):
-                coordinate = task.coordinate(core_mask,
-                                             rows[representatives[gid]])
-                core_cells[coordinate] = [state.handle(gid)
-                                          for state in states]
-            span.set(cells=n_groups)
-
-        nodes = {core_mask: core_cells}
+        core_mask = CubeLattice(task.dims, task.masks).core
+        cells = core_scratchpads(task, batch, columns, core_mask, xp, stats)
+        nodes = {core_mask: dict(zip(cells.coordinates, cells.handles))}
         fold_super_aggregates(task, nodes, stats)
         return finalize_nodes(task, nodes, stats)
-
-    # -- shared helpers --------------------------------------------------------
-
-    def _flat_offsets(self, batch: ColumnBatch, dims, strides, xp):
-        """Per-row flat offsets ``sum(code[d] * stride[d])`` over the
-        given dimensions; int list (python) or int64 ndarray (numpy).
-        ``strides`` may be a sequence or a {dim: stride} mapping."""
-        dims = list(dims)
-        if xp is not None:
-            flat = xp.zeros(batch.n_rows, dtype=xp.int64)
-            for d in dims:
-                flat += batch.dims[d].codes_np(xp) * strides[d]
-            return flat
-        flat = [0] * batch.n_rows
-        for d in dims:
-            codes = batch.dims[d].codes
-            stride = strides[d]
-            if stride == 1:
-                for i, code in enumerate(codes):
-                    flat[i] += code
-            else:
-                for i, code in enumerate(codes):
-                    flat[i] += code * stride
-        return flat

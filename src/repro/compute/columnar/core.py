@@ -1,0 +1,245 @@
+"""The core GROUP BY on the kernels: one builder of core scratchpads.
+
+Section 5 computes a cube in two steps -- aggregate the core once, then
+"compute super-aggregates from the core" with ``Iter_super``.  This
+module is the first step for everything that keeps *live scratchpads*:
+the sparse route of :class:`~repro.compute.columnar.ColumnarCubeAlgorithm`
+(which then folds and finalizes) and
+:class:`~repro.compute.view_selection.PartialCube` (which keeps the
+handles resident as a cached cuboid and maintains them under deltas).
+
+:func:`kernel_positions` decides which aggregates the kernels may
+compute; :func:`core_scratchpads` groups the batch's rows to first-seen
+group ids over the core dimensions, scatter-aggregates the eligible
+columns, and rebuilds one ordinary ``Handle`` list per group.  The
+returned :class:`CoreCells` can also report, per cell, the contributing
+row count and each aggregate's accepted-value count (what delta
+maintenance needs to know when a cell or a scratchpad empties) from one
+``bincount`` per distinct validity mask instead of a Python
+``accepts()`` call per row and aggregate.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.aggregates.base import AggregateFunction, Handle
+from repro.compute.base import CubeTask
+from repro.compute.columnar.batch import BATCH_ROWS, AggColumn, ColumnBatch
+from repro.compute.columnar.kernels import (
+    KERNELS,
+    kernel_for,
+    kernel_needs_numeric,
+    make_state,
+)
+from repro.compute.stats import ComputeStats
+from repro.core.grouping import Mask
+from repro.obs import trace
+from repro.resilience import context as rctx
+
+__all__ = ["CoreCells", "core_scratchpads", "flat_offsets",
+           "kernel_positions"]
+
+
+def _ints_exact(column: AggColumn, xp) -> bool:
+    """Can float64 carry every partial sum of the column's int-typed
+    values exactly?  Python ints never round, so a column that could
+    push an integer accumulator past 2**53 stays on the row path (the
+    pure-python kernels fold the raw ints and are exact anyway)."""
+    if xp is None or column.n_float == column.n_valid:
+        return True
+    ints = column.data_np(xp)[column.valid_np(xp) & ~column.floats_np(xp)]
+    return float(xp.abs(ints).max()) * column.n_valid <= 2 ** 53
+
+
+def kernel_positions(functions: Sequence[AggregateFunction],
+                     batch: ColumnBatch, xp) -> list[int]:
+    """Positions of the aggregates the kernels can compute exactly: the
+    function declared a kernel and its input column satisfies the
+    kernel's numeric requirement.  The rest -- holistic aggregates,
+    UDAFs, non-numeric SUM inputs -- are the caller's *residual*."""
+    return [
+        p for p, fn in enumerate(functions)
+        if kernel_for(fn) is not None
+        and (not kernel_needs_numeric(fn)
+             or (batch.aggs[p].numeric and _ints_exact(batch.aggs[p], xp)))
+        # a float64 MIN/MAX can't tell which *type* won a cross-type
+        # tie, so mixed int/float columns stay on the exact row path
+        # (the pure-python kernels fold raw objects and are exact)
+        and (xp is None or kernel_for(fn) not in ("min", "max")
+             or not batch.aggs[p].mixed_number_types)
+    ]
+
+
+def flat_offsets(batch: ColumnBatch, dims, strides, xp):
+    """Per-row flat offsets ``sum(code[d] * stride[d])`` over the
+    given dimensions; int list (python) or int64 ndarray (numpy).
+    ``strides`` may be a sequence or a {dim: stride} mapping."""
+    dims = list(dims)
+    if xp is not None:
+        flat = xp.zeros(batch.n_rows, dtype=xp.int64)
+        for d in dims:
+            flat += batch.dims[d].codes_np(xp) * strides[d]
+        return flat
+    flat = [0] * batch.n_rows
+    for d in dims:
+        codes = batch.dims[d].codes
+        stride = strides[d]
+        if stride == 1:
+            for i, code in enumerate(codes):
+                flat[i] += code
+        else:
+            for i, code in enumerate(codes):
+                flat[i] += code * stride
+    return flat
+
+
+class CoreCells:
+    """The core GROUP BY's cells, in first-seen row order.
+
+    ``coordinates[g]`` and ``handles[g]`` describe cell ``g`` (one
+    handle per task aggregate; positions the kernels did not build hold
+    ``fn.start()``); ``gids[i]`` is the cell of input row ``i``.
+    """
+
+    __slots__ = ("coordinates", "handles", "gids", "_functions",
+                 "_columns", "_slots", "_xp", "_rows")
+
+    def __init__(self, coordinates: list[tuple],
+                 handles: list[list[Handle]], gids: list[int],
+                 functions: Sequence[AggregateFunction],
+                 columns: Sequence[AggColumn | None], slots, xp) -> None:
+        self.coordinates = coordinates
+        self.handles = handles
+        self.gids = gids
+        self._functions = functions
+        self._columns = columns
+        self._slots = slots
+        self._xp = xp
+        self._rows: list[int] | None = None
+
+    def _bincount(self, mask=None) -> list[int]:
+        """Rows per cell (``mask`` keeps a subset), as python ints."""
+        size = len(self.coordinates)
+        slots = self._slots
+        if self._xp is not None:
+            picked = slots if mask is None else slots[mask]
+            return self._xp.bincount(picked, minlength=size).tolist()
+        counts = [0] * size
+        if mask is None:
+            for code in slots:
+                counts[code] += 1
+        else:
+            for code, keep in zip(slots, mask):
+                if keep:
+                    counts[code] += 1
+        return counts
+
+    def _accepted_mask(self, column: AggColumn, skip_nan: bool):
+        xp = self._xp
+        if xp is not None:
+            mask = column.valid_np(xp)
+            return mask & ~column.nan_np(xp) if skip_nan else mask
+        if not skip_nan:
+            return column.valid
+        return [v and not n for v, n in zip(column.valid, column.nan)]
+
+    def row_counts(self) -> list[int]:
+        """Contributing input rows per cell."""
+        if self._rows is None:
+            self._rows = self._bincount()
+        return self._rows
+
+    def accepted_counts(self) -> list[list[int]]:
+        """Per cell, the number of values each aggregate's ``accepts()``
+        let through -- one ``bincount`` per distinct validity mask.
+        Positions the kernels did not build report 0."""
+        zeros = [0] * len(self.coordinates)
+        memo: dict[tuple, list[int]] = {}
+        per_position = []
+        for fn, column in zip(self._functions, self._columns):
+            if column is None:
+                per_position.append(zeros)
+                continue
+            accepts = KERNELS[kernel_for(fn)].accepts
+            if accepts == "rows":
+                per_position.append(self.row_counts())
+                continue
+            # columns batched from one source share their mask buffers
+            key = (accepts, id(column.valid))
+            counts = memo.get(key)
+            if counts is None:
+                counts = memo[key] = self._bincount(
+                    self._accepted_mask(column, accepts == "finite"))
+            per_position.append(counts)
+        if not per_position:
+            return [[] for _ in zeros]
+        return [list(cell) for cell in zip(*per_position)]
+
+
+def core_scratchpads(task: CubeTask, batch: ColumnBatch,
+                     columns: Sequence[AggColumn | None], core_mask: Mask,
+                     xp, stats: ComputeStats) -> CoreCells:
+    """Aggregate ``batch`` at the core grouping set on the kernels.
+
+    ``columns[p]`` is the batch column to scatter for
+    ``task.functions[p]``, or ``None`` for a position the caller folds
+    itself (its handles come back as ``fn.start()``).  Group ids follow
+    first-seen row order, matching from-core's core cell insertion order
+    (so downstream float merges agree bitwise).  Charges one cell per
+    group to the active execution context and records the scatter as
+    ``iter_calls``.
+    """
+    n = task.n_dims
+    core_dims = [i for i in range(n) if core_mask & (1 << i)]
+
+    # flat keys over the core dimensions only (mixed radix of their
+    # real cardinalities -- no ALL slots here, the fold adds those)
+    cards = batch.cardinalities()
+    core_strides = {}
+    stride = 1
+    for i in reversed(core_dims):
+        core_strides[i] = stride
+        stride *= cards[i]
+    flat = flat_offsets(batch, core_dims, core_strides, xp)
+    if xp is not None:
+        flat = flat.tolist()
+
+    group_of: dict[int, int] = {}
+    gids = [0] * batch.n_rows
+    representatives: list[int] = []
+    for start in range(0, batch.n_rows, BATCH_ROWS):
+        rctx.checkpoint("columnar group scan")
+        for i in range(start, min(start + BATCH_ROWS, batch.n_rows)):
+            key = flat[i]
+            gid = group_of.get(key)
+            if gid is None:
+                gid = group_of[key] = len(group_of)
+                representatives.append(i)
+            gids[i] = gid
+    n_groups = len(group_of)
+
+    rctx.charge_cells(n_groups, "columnar core groups")
+    stats.start_calls += n_groups * task.n_aggs
+
+    slots = xp.asarray(gids, dtype=xp.int64) if xp is not None else gids
+    with trace.span("cube.node", dims=task.mask_label(core_mask),
+                    role="core", rows=len(task.rows)) as span:
+        states = []
+        for fn, column in zip(task.functions, columns):
+            if column is None:
+                states.append(None)
+                continue
+            state = make_state(kernel_for(fn), n_groups, xp)
+            stats.iter_calls += state.scatter(slots, column)
+            states.append(state)
+        rows = task.rows
+        coordinates = [task.coordinate(core_mask, rows[i])
+                       for i in representatives]
+        built = list(zip(task.functions, states))
+        handles = [[fn.start() if state is None else state.handle(gid)
+                    for fn, state in built]
+                   for gid in range(n_groups)]
+        span.set(cells=n_groups)
+    return CoreCells(coordinates, handles, gids, task.functions, columns,
+                     slots, xp)

@@ -54,6 +54,10 @@ class _KernelState:
 
     #: does scatter need a float64 data buffer (False: validity only)?
     needs_numeric = True
+    #: which rows scatter folds -- the image of the owning function's
+    #: ``accepts()``: "valid" (non-NULL), "rows" (every row, COUNT(*))
+    #: or "finite" (non-NULL and not NaN, MIN/MAX)
+    accepts = "valid"
 
     def __init__(self, size: int, xp) -> None:
         self.size = size
@@ -90,6 +94,7 @@ class _CountStarState(_KernelState):
     """COUNT(*): every row counts, valid or not."""
 
     needs_numeric = False
+    accepts = "rows"
 
     def _init(self) -> None:
         if self.xp is None:
@@ -116,6 +121,8 @@ class _CountStarState(_KernelState):
 
 class _CountState(_CountStarState):
     """COUNT(expr): count rows where the column is non-NULL."""
+
+    accepts = "valid"
 
     def scatter(self, slots, column) -> int:
         if self.xp is None:
@@ -191,6 +198,7 @@ class _ExtremeState(_KernelState):
     off the numpy extreme kernels (``AggColumn.mixed_number_types``)."""
 
     _mode = "min"
+    accepts = "finite"
 
     def _init(self) -> None:
         if self.xp is None:

@@ -20,6 +20,17 @@ the cube".  This module implements that idea on our lattice:
   (:mod:`repro.serve.cache`): a repeated or coarser query folds a
   stored cuboid instead of rescanning the fact table.
 
+A :class:`PartialCube` is built the way Section 5 builds any cube -- one
+base scan aggregates the core, everything else is ``Iter_super`` from
+it -- and the core scan is the columnar engine's
+(:func:`repro.compute.columnar.core.core_scratchpads`: dictionary
+codes, fused kernels, plain scratchpad handles out).  Only aggregates
+without an exact kernel (carrying holistics, sketches, UDAFs,
+non-numeric inputs, the Welford family) are folded row by row.  The
+view sizes the planner needs are the distinct projections of the core's
+coordinates, so no second pass over the rows measures them, and the
+rows themselves are released once the core exists.
+
 Works for distributive and algebraic aggregates (answering from an
 ancestor is an Iter_super fold); holistic functions would need the base
 data, which is exactly the HRU paper's assumption the Gray et al. text
@@ -31,10 +42,15 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
+from operator import itemgetter
 from typing import Sequence
 
 from repro.aggregates.base import Handle
 from repro.compute.base import CubeTask, build_task
+from repro.compute.columnar.batch import ColumnBatch, numpy_backend
+from repro.compute.columnar.core import core_scratchpads, kernel_positions
+from repro.compute.columnar.kernels import kernel_for
 from repro.compute.stats import ComputeStats
 from repro.core.grouping import Mask, cube_sets, mask_to_names
 from repro.core.lattice import CubeLattice
@@ -47,6 +63,7 @@ from repro.errors import (
 )
 from repro.obs import instrument, trace
 from repro.resilience import context as rctx
+from repro.types import ALL
 
 __all__ = ["view_sizes", "greedy_select", "PartialCube"]
 
@@ -57,9 +74,10 @@ def view_sizes(task: CubeTask, *,
 
     One pass over the fact table counts distinct coordinates for every
     mask simultaneously.  The result is memoized on the task, so the
-    several call sites that plan against the same task (selection,
-    benchmarks, the serving cache) share a single scan instead of each
-    silently rescanning the fact table.  When ``stats`` is given, the
+    call sites that plan against the same task (selection, benchmarks)
+    share a single scan instead of each silently rescanning the fact
+    table.  (:class:`PartialCube` does not call this: it sizes its views
+    from the core cells it has built anyway.)  When ``stats`` is given, the
     scan that actually happens is recorded on it (``base_scans`` plus a
     ``view_sizes_rows`` note); a memo hit records nothing, because no
     work was done.
@@ -89,6 +107,19 @@ def _cheapest_ancestor(mask: Mask, materialized: set[Mask],
     if not candidates:
         raise CubeError(f"no materialized ancestor for mask {mask:#b}")
     return min(candidates, key=lambda m: (sizes[m], m))
+
+
+def _projector(mask: Mask, n_dims: int):
+    """``coordinate -> its projection onto mask`` (grouped positions
+    keep their value, the rest become ALL), as one C-level pick out of
+    ``coordinate + (ALL,)`` -- :meth:`CubeTask.coordinate` without the
+    per-cell generator."""
+    picks = [i if mask & (1 << i) else n_dims for i in range(n_dims)]
+    if n_dims < 2:  # itemgetter returns a tuple only for 2+ picks
+        return lambda coordinate: tuple(
+            (*coordinate, ALL)[i] for i in picks)
+    pick = itemgetter(*picks)
+    return lambda coordinate: pick((*coordinate, ALL))
 
 
 def greedy_select(sizes: dict[Mask, int], k: int, *,
@@ -178,16 +209,7 @@ class PartialCube:
                 f"partial cubes need mergeable scratchpads; {bad} are "
                 "holistic in strict mode")
         self.stats = ComputeStats(algorithm="partial-cube")
-        self.sizes = view_sizes(self._task, stats=self.stats)
         self._lattice = CubeLattice(self._task.dims, universe)
-
-        if materialize is None:
-            k = budget if budget is not None else len(universe) // 4
-            materialize = greedy_select(self.sizes, k,
-                                        dims=self._task.dims)
-        self.materialized: tuple[Mask, ...] = tuple(dict.fromkeys(
-            [self._lattice.core, *materialize]))
-
         self._views: dict[Mask, dict[tuple, list[Handle]]] = {}
         #: per-view contributing-row count per cell; what lets a delta
         #: DELETE know when a cell's underlying set became empty
@@ -198,68 +220,123 @@ class PartialCube:
         #: handle -- so SUM over a cell whose non-NULL values all left
         #: finalizes to NULL exactly like a cold recompute
         self._accepted: dict[Mask, dict[tuple, list[int]]] = {}
-        self._build()
 
-    def _build(self) -> None:
         started = time.perf_counter()
-        task = self._task
+        input_rows = len(self._task.rows)
+        self._build_core()
+        # every view is a projection of the core, so its exact row count
+        # is the number of distinct projected core coordinates -- the
+        # numbers view_sizes() measures from the rows, without the scan.
+        # Views about to be materialized are sized as they are built.
         core_mask = self._lattice.core
-        core: dict[tuple, list[Handle]] = {}
-        core_counts: dict[tuple, int] = {}
-        core_accepted: dict[tuple, list[int]] = {}
-        self.stats.base_scans += 1
-        for position, row in enumerate(task.rows):
-            if position % 256 == 0:
-                rctx.checkpoint("partial-cube build")
-            coordinate = task.coordinate(core_mask, task.dim_values(row))
-            handles = core.get(coordinate)
-            if handles is None:
-                handles = task.new_handles(self.stats)
-                core[coordinate] = handles
-                core_accepted[coordinate] = [0] * task.n_aggs
-            task.fold_row(handles, row, self.stats)
-            core_counts[coordinate] = core_counts.get(coordinate, 0) + 1
-            accepted = core_accepted[coordinate]
-            for index, value in enumerate(task.agg_values(row)):
-                if task.functions[index].accepts(value):
-                    accepted[index] += 1
-        self._views[core_mask] = core
-        self._counts[core_mask] = core_counts
-        self._accepted[core_mask] = core_accepted
-        # materialize the chosen views coarse-from-fine
-        for mask in sorted(self.materialized,
-                           key=lambda m: -bin(m).count("1")):
-            if mask == core_mask:
-                continue
-            rctx.checkpoint("partial-cube materialize")
-            source_mask = _cheapest_ancestor(
-                mask, set(self._views), self.sizes, self._lattice)
-            self._views[mask] = self._fold_down(source_mask, mask)
-            counts: dict[tuple, int] = {}
-            accepted_view: dict[tuple, list[int]] = {}
-            for coordinate, count in self._counts[source_mask].items():
-                target = task.coordinate(mask, coordinate)
-                counts[target] = counts.get(target, 0) + count
-                sums = accepted_view.setdefault(target, [0] * task.n_aggs)
-                for index, n in enumerate(
-                        self._accepted[source_mask][coordinate]):
-                    sums[index] += n
-            self._counts[mask] = counts
-            self._accepted[mask] = accepted_view
+        core = self._views[core_mask]
+        self.sizes: dict[Mask, int] = {core_mask: max(1, len(core))}
+        for mask in universe:
+            if mask != core_mask and mask not in (materialize or ()):
+                self.sizes[mask] = max(1, len(set(map(
+                    _projector(mask, self._task.n_dims), core))))
+        if materialize is None:
+            k = budget if budget is not None else len(universe) // 4
+            materialize = greedy_select(self.sizes, k,
+                                        dims=self._task.dims)
+        self.materialized: tuple[Mask, ...] = tuple(dict.fromkeys(
+            [core_mask, *materialize]))
+        self._materialize()
+        # nothing reads the fact rows once the core exists: answers fold
+        # views and deltas arrive as their own rows
+        self._task.rows = []
         self.stats.cells_produced = self.materialized_rows
         # a partial-cube build is a cube computation: meter it like one,
         # so cold builds and warm answers land in the same catalogue
         # (repro_cube_rows_scanned_total vs repro_view_rows_scanned_total)
         instrument.record_cube_compute(
             self.stats, time.perf_counter() - started,
-            input_rows=len(task.rows))
+            input_rows=input_rows)
+
+    def _build_core(self) -> None:
+        """The one base scan: the core GROUP BY on the columnar kernels
+        (:func:`~repro.compute.columnar.core.core_scratchpads`), plus a
+        row fold for the *residual* positions no kernel builds."""
+        task = self._task
+        core_mask = self._lattice.core
+        self.stats.base_scans += 1
+        xp = numpy_backend()
+        with trace.span("cube.batch", rows=len(task.rows),
+                        backend="numpy" if xp is not None else "python"):
+            batch = ColumnBatch.from_task(task)
+        # the numpy VAR kernel rebuilds Welford scratchpads from sums of
+        # squares: algebraically equal, rounded differently from the row
+        # fold deltas keep applying -- so the family stays residual
+        kernel_built = [p for p in kernel_positions(task.functions, batch, xp)
+                        if kernel_for(task.functions[p]) != "var"]
+        cells = core_scratchpads(
+            task, batch,
+            [batch.aggs[p] if p in kernel_built else None
+             for p in range(task.n_aggs)],
+            core_mask, xp, self.stats)
+        accepted = cells.accepted_counts()
+        residual = [(p, task.functions[p]) for p in range(task.n_aggs)
+                    if p not in kernel_built]
+        if residual:
+            n_dims = task.n_dims
+            for position, row in enumerate(task.rows):
+                if position % 256 == 0:
+                    rctx.checkpoint("partial-cube build")
+                gid = cells.gids[position]
+                handles = cells.handles[gid]
+                for p, fn in residual:
+                    value = row[n_dims + p]
+                    if fn.accepts(value):
+                        handles[p] = fn.next(handles[p], value)
+                        accepted[gid][p] += 1
+                        self.stats.iter_calls += 1
+        self._views[core_mask] = dict(zip(cells.coordinates, cells.handles))
+        self._counts[core_mask] = dict(zip(cells.coordinates,
+                                           cells.row_counts()))
+        self._accepted[core_mask] = dict(zip(cells.coordinates, accepted))
+
+    def _materialize(self) -> None:
+        """Fold the chosen views coarse-from-fine, each from its
+        cheapest already-materialized ancestor: handles, row counts and
+        accepted-value counts in one pass over the ancestor's cells."""
+        task = self._task
+        for mask in sorted(self.materialized,
+                           key=lambda m: -bin(m).count("1")):
+            if mask in self._views:
+                continue
+            rctx.checkpoint("partial-cube materialize")
+            source_mask = _cheapest_ancestor(
+                mask, set(self._views), self.sizes, self._lattice)
+            source_counts = self._counts[source_mask]
+            source_accepted = self._accepted[source_mask]
+            project = _projector(mask, task.n_dims)
+            view: dict[tuple, list[Handle]] = {}
+            counts: dict[tuple, int] = {}
+            accepted: dict[tuple, list[int]] = {}
+            for coordinate, handles in self._views[source_mask].items():
+                target = project(coordinate)
+                into = view.get(target)
+                if into is None:
+                    into = view[target] = task.new_handles(self.stats)
+                    counts[target] = 0
+                    accepted[target] = [0] * task.n_aggs
+                task.merge_handles(into, handles, self.stats)
+                counts[target] += source_counts[coordinate]
+                sums = accepted[target]
+                for index, n in enumerate(source_accepted[coordinate]):
+                    sums[index] += n
+            self._views[mask] = view
+            self._counts[mask] = counts
+            self._accepted[mask] = accepted
+            self.sizes[mask] = max(1, len(view))
 
     def _fold_down(self, source_mask: Mask,
                    target_mask: Mask) -> dict[tuple, list[Handle]]:
         task = self._task
+        project = _projector(target_mask, task.n_dims)
         out: dict[tuple, list[Handle]] = {}
         for coordinate, handles in self._views[source_mask].items():
-            target_coord = task.coordinate(target_mask, coordinate)
+            target_coord = project(coordinate)
             target = out.get(target_coord)
             if target is None:
                 target = task.new_handles(self.stats)
@@ -408,17 +485,8 @@ class PartialCube:
                         accepted[position] += 1
                 touched.add((mask, coordinate))
 
-        # keep the row set and the planner's size estimates honest
-        for row in delta_out:
-            try:
-                task.rows.remove(row)
-            except ValueError:
-                pass  # trimmed/sampled row sets still answer correctly
-        task.rows.extend(delta_in)
         for mask, view in self._views.items():
             self.sizes[mask] = max(1, len(view))
-        if hasattr(task, "_view_sizes_memo"):
-            del task._view_sizes_memo
         self.stats.cells_produced = self.materialized_rows
         return len(touched)
 
@@ -436,15 +504,22 @@ class PartialCube:
                                     self._lattice)
         return len(self._views[source])
 
-    def answer(self, mask: Mask) -> Table:
+    def answer(self, mask: Mask,
+               positions: Sequence[int] | None = None) -> Table:
         """Answer one grouping-set query given as a mask over the
         cube's dimensions."""
-        table, _ = self.answer_with_cost(mask)
+        table, _ = self.answer_with_cost(mask, positions)
         return table
 
-    def answer_with_cost(self, mask: Mask) -> tuple[Table, int]:
+    def answer_with_cost(self, mask: Mask,
+                         positions: Sequence[int] | None = None,
+                         ) -> tuple[Table, int]:
         """Answer ``mask`` and report the rows of materialized data
         scanned to do it.
+
+        ``positions`` selects (and orders) the aggregate columns of the
+        answer; only those are finalized.  The default is every
+        aggregate the cube carries.
 
         The ancestor-answering path is traced (``view.answer`` spans,
         visible in EXPLAIN ANALYZE when a query is served from the
@@ -453,28 +528,38 @@ class PartialCube:
         as a cold computation.
         """
         task = self._task
+        if positions is None:
+            positions = range(task.n_aggs)
+        # the answer's shape: the same dims, the requested aggregates
+        asked = replace(
+            task,
+            functions=tuple(task.functions[p] for p in positions),
+            agg_names=tuple(task.agg_names[p] for p in positions))
         materialized = mask in self._views
         with trace.span("view.answer",
                         grouping_set=task.mask_label(mask),
                         materialized=materialized) as span:
             if materialized:
                 source_mask = mask
-                scanned = len(self._views[mask])
-                cells = [(coordinate,
-                          task.finalize(list(handles), self.stats))
-                         for coordinate, handles
-                         in self._views[mask].items()]
+                view = self._views[mask]
             else:
                 source_mask = _cheapest_ancestor(
                     mask, set(self._views), self.sizes, self._lattice)
-                scanned = len(self._views[source_mask])
-                folded = self._fold_down(source_mask, mask)
-                cells = [(coordinate, task.finalize(handles, self.stats))
-                         for coordinate, handles in folded.items()]
+                view = self._fold_down(source_mask, mask)
+            scanned = len(self._views[source_mask])
+            if mask == 0 and not view:
+                # the grand total exists over no rows too (SUM -> NULL,
+                # COUNT -> 0), as every cube algorithm reports it
+                view = {task.coordinate(0, ()): [fn.start()
+                                                 for fn in task.functions]}
+            cells = [(coordinate,
+                      asked.finalize([handles[p] for p in positions],
+                                     self.stats))
+                     for coordinate, handles in view.items()]
             span.set(source=task.mask_label(source_mask),
                      rows_scanned=scanned, cells=len(cells))
         instrument.record_view_answer(scanned)
-        return task.result_table(cells), scanned
+        return asked.result_table(cells), scanned
 
     def _answer(self, mask: Mask) -> Table:
         return self.answer(mask)

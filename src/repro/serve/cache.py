@@ -24,11 +24,14 @@ An entry is keyed **semantically**, not textually:
 
 The answering engine is :class:`~repro.compute.PartialCube` (the HRU
 machinery): a miss that passes admission *computes the query through
-it* -- one base scan builds the core plus the requested grouping sets,
-the request is answered from those views, and the materialized handles
-stay resident as the cache entry.  A later hit folds the cheapest
-materialized ancestor instead of rescanning the fact table, which is
-where the >=5x rows-scanned win comes from
+it* -- one base scan on the columnar kernels builds the core, the
+requested grouping sets fold from it, the request is answered from
+those views, and the materialized handles (not the fact rows) stay
+resident as the cache entry.  A later hit picks the cheapest containing
+entry (fewest cells, most recently used on ties), folds its cheapest
+materialized ancestor instead of rescanning the fact table, and
+finalizes only the aggregates the request names -- which is where the
+>=5x rows-scanned win comes from
 (``repro_view_rows_scanned_total`` vs ``repro_cube_rows_scanned_total``).
 
 Space is governed by the resilience cell accountant
@@ -46,7 +49,6 @@ share a single cache instance behind it.
 from __future__ import annotations
 
 import contextlib
-import copy
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -387,12 +389,11 @@ class CuboidCache:
 
         The entry list is snapshotted under the lock; the expensive
         pickling happens *outside* it (the serve package never blocks
-        other statements on I/O-sized work while holding a lock).  The
-        answering engines are pickled with their base rows trimmed --
-        :meth:`PartialCube.answer_with_cost` folds materialized views
-        only, never task rows -- so a checkpoint carries cuboids, not
-        a copy of the fact table.  Entries whose scratchpads do not
-        pickle (exotic UDAFs) are skipped, not fatal.
+        other statements on I/O-sized work while holding a lock).  An
+        answering engine keeps no fact rows after its build, so a
+        checkpoint carries cuboids, not a copy of the fact table.
+        Entries whose scratchpads do not pickle (exotic UDAFs) are
+        skipped, not fatal.
         """
         import dataclasses
         import pickle
@@ -401,11 +402,9 @@ class CuboidCache:
             entries = list(self._entries.values())
         payload = []
         for entry in entries:
-            engine = copy.copy(entry.engine)
-            engine._task = dataclasses.replace(engine._task, rows=[])
-            slim = dataclasses.replace(entry, engine=engine, hits=0)
             try:
-                payload.append(pickle.dumps(slim, protocol=4))
+                payload.append(pickle.dumps(
+                    dataclasses.replace(entry, hits=0), protocol=4))
             except Exception:  # noqa: BLE001 -- arbitrary user handles
                 continue
         return pickle.dumps(payload, protocol=4)
@@ -480,10 +479,13 @@ class CuboidCache:
 
     def _probe(self, source: SourceSignature, dim_sigs: tuple,
                agg_sigs: tuple) -> Optional[CacheEntry]:
-        for entry in self._entries.values():
-            if entry.can_answer(source, dim_sigs, agg_sigs):
-                return entry
-        return None
+        """The cheapest containing entry: fewest resident cells, the
+        most recently used breaking ties."""
+        return min(
+            (entry for entry in self._entries.values()
+             if entry.can_answer(source, dim_sigs, agg_sigs)),
+            key=lambda entry: (entry.cells, -entry.last_used),
+            default=None)
 
     def _answer_hit(self, entry: CacheEntry, dim_sigs: tuple,
                     dim_names: Sequence[str], agg_sigs: tuple,
@@ -500,9 +502,10 @@ class CuboidCache:
                         grouping_sets=len(masks)) as span:
             scanned = 0
             strata: list[Table] = []
+            positions = [entry.agg_pos[sig] for sig in agg_sigs]
             for mask in dict.fromkeys(masks):
                 answered, cost = entry.engine.answer_with_cost(
-                    entry.translate_mask(mask, dim_sigs))
+                    entry.translate_mask(mask, dim_sigs), positions)
                 scanned += cost
                 strata.append(answered)
             result = self._project(entry, strata, dim_sigs, dim_names,
@@ -551,7 +554,9 @@ class CuboidCache:
                            last_used=self._clock)
         with trace.span("serve.answer", cache_hit=False,
                         grouping_sets=len(masks)) as span:
-            strata = [engine.answer(entry.translate_mask(m, dim_sigs))
+            positions = [entry.agg_pos[sig] for sig in agg_sigs]
+            strata = [engine.answer(entry.translate_mask(m, dim_sigs),
+                                    positions)
                       for m in masks]
             result = self._project(entry, strata, dim_sigs, dim_names,
                                    agg_sigs, agg_names)
@@ -569,10 +574,11 @@ class CuboidCache:
                  agg_sigs: tuple, agg_names: Sequence[str]) -> Table:
         """Reorder/rename the entry's answer columns to the request:
         request dims (entry dims absent from the request are ALL-valued
-        and dropped), then request aggregates."""
+        and dropped), then the request's aggregates -- which is all the
+        strata carry, already in request order."""
         n_entry_dims = len(entry.dim_sigs)
         indexes = [entry.dim_pos[sig] for sig in dim_sigs]
-        indexes += [n_entry_dims + entry.agg_pos[sig] for sig in agg_sigs]
+        indexes += range(n_entry_dims, n_entry_dims + len(agg_sigs))
         names = list(dim_names) + list(agg_names)
         template = strata[0] if strata else None
         if template is None:

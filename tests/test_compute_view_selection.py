@@ -181,9 +181,9 @@ class TestViewSizesMemo:
 
     def test_partial_cube_reuses_the_sizing_pass(self, fact):
         partial = PartialCube(fact, DIMS, AGGS, budget=1)
-        # one sizing pass + one build pass, never a third
-        assert partial.stats.base_scans == 2
-        assert partial.stats.notes["view_sizes_rows"] == len(fact)
+        # one build pass; the sizes come from the core it produced
+        assert partial.stats.base_scans == 1
+        assert partial.sizes == view_sizes(make_task(fact))
 
 
 class TestAnswerInstrumentation:

@@ -350,3 +350,35 @@ class TestApplyDelta:
         assert entry.cells == entry.engine.materialized_rows
         cache.clear()
         assert cache.stats()["resident_cells"] == 0
+
+
+class TestCheapestContainingEntry:
+    def test_hit_folds_the_smaller_of_two_admissible_ancestors(self, fact):
+        from repro.obs.trace import Tracer, use_tracer
+
+        cache = CuboidCache()
+        # admitted first: GROUP BY d0, d1, d2 (the larger core) ...
+        request(cache, fact, masks=[names_to_mask(DIMS, DIMS)])
+        # ... then GROUP BY d0, d1 with an extra aggregate, so the wide
+        # entry cannot answer it and both stay resident
+        narrow = ("d0", "d1")
+        request(cache, fact, dims=narrow, masks=[0b11],
+                specs=[AggregateSpec(Sum(), "m", "s"),
+                       AggregateSpec(Min(), "m", "lo")],
+                sigs=[SUM_SIG, ("MIN", "m", False, ())],
+                agg_names=("s", "lo"))
+        assert cache.stats()["misses"] == 2 and len(cache) == 2
+
+        with use_tracer(Tracer()) as tracer:
+            result = request(cache, fact, dims=("d0",), masks=[0b1])
+        assert cache.stats()["hits"] == 1
+        reference = cube_op(fact, ["d0"], [agg("SUM", "m", "s")])
+        assert canon(result) == sorted(
+            repr(row) for row in reference if row[0] is not ALL)
+        # both entries contain the request; the fold must read the
+        # narrow one's cells, not the first-admitted wide core's
+        narrow_cells = len({row[:2] for row in fact.rows})
+        wide_cells = len({row[:3] for row in fact.rows})
+        assert narrow_cells < wide_cells
+        answered = [s for s in tracer.roots if s.name == "serve.answer"]
+        assert answered[0].attributes["rows_scanned"] == narrow_cells
