@@ -60,7 +60,7 @@ def test_algorithm_wall_time(benchmark, task, name):
     algorithm = ALGORITHMS[name]()
     result = benchmark(algorithm.compute, task)
     assert result.stats.cells_produced == len(result.table)
-    # machine-independent counters ride along into BENCH_results.json
+    # machine-independent counters ride along in the benchmark report
     benchmark.extra_info["counters"] = result.stats.as_dict()
 
 

@@ -4,9 +4,9 @@ Measures the warm-vs-cold asymmetry the cache exists for: a cold CUBE
 pays full base-table scans (build + sizing), while a warm repeat -- or
 any coarser GROUP BY contained in the cached cuboids -- folds a few
 hundred resident cells.  The machine-independent half of the story
-(rows scanned, cache counters) rides along in ``extra_info`` so the
-BENCH_results.json trajectory can assert the asymmetry without
-trusting wall clocks.
+(rows scanned, cache counters) rides along in ``extra_info`` (part of
+pytest-benchmark's own ``--benchmark-json`` report), so the asymmetry
+can be read without trusting wall clocks.
 """
 
 import pytest

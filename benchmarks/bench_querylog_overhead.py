@@ -6,8 +6,8 @@ every `annotate`/`add` hook to one thread-local read.  This bench holds
 it to that on the Figure 2 workload (GROUP BY over a synthetic fact
 table): the same computation runs through the tracked entry point and
 through the unwrapped body, interleaved, and the median per-pair ratio
-must stay under 1.03x.  The ratio lands in ``BENCH_results.json``
-(``extra.overhead_ratio``) so the trajectory is diffable per commit.
+must stay under 1.03x.  The ratio also lands in ``extra_info``
+(``overhead_ratio``).
 """
 
 import statistics

@@ -15,8 +15,8 @@ Three measurements back the storage engine's performance claims
   ``--data-dir`` answers the first repeated query from a recovered
   cuboid instead of recomputing; both latencies are recorded.
 
-All three feed ``BENCH_results.json`` so the trajectory is diffable
-per commit.
+All three land in ``extra_info`` (pytest-benchmark's
+``--benchmark-json`` report).
 """
 
 import os

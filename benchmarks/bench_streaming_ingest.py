@@ -10,8 +10,8 @@ delete-algebraic maintenance), re-keys them to the new catalog
 versions, and the cache stays hot.
 
 The machine-independent half (hit rates, delta-merge counters) rides in
-``extra_info`` so the BENCH_results.json trajectory can assert the
-asymmetry without trusting wall clocks.
+``extra_info`` (part of pytest-benchmark's ``--benchmark-json``
+report), so the asymmetry can be read without trusting wall clocks.
 """
 
 from repro.data import SyntheticSpec, synthetic_table

@@ -3,24 +3,9 @@
 Each bench module regenerates one of the paper's tables/figures (the
 rows are checked by assertion and printed under ``pytest -s``), then
 times the computation that produces it with pytest-benchmark.
-
-A session hook additionally writes ``BENCH_results.json`` at the repo
-root: one record per benchmark with the wall-clock statistics and any
-machine-independent :class:`~repro.compute.stats.ComputeStats`
-counters a bench attached via ``benchmark.extra_info`` -- the
-machine-readable trajectory CI archives per commit so perf regressions
-are diffable without re-running old builds.
-
-The file is cumulative: before overwriting, the previous run's mean
-timings are folded into a bounded ``history`` list (newest last), so
-the trajectory actually survives successive runs instead of each one
-clobbering the last -- ``benchmarks`` is always the *current* run.
 """
 
 from __future__ import annotations
-
-import json
-import platform
 
 import pytest
 
@@ -66,85 +51,3 @@ def show(title: str, body: str) -> None:
     print(f"\n=== {title} ===")
     print(body)
 
-
-_STAT_FIELDS = ("min", "max", "mean", "stddev", "median", "rounds",
-                "iterations")
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write BENCH_results.json next to pyproject.toml.
-
-    Only fires when pytest-benchmark actually collected timings (a
-    plain test run, or ``--benchmark-disable``, leaves no session).
-    """
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    records = []
-    for bench in bench_session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        timings = {}
-        for field in _STAT_FIELDS:
-            value = getattr(stats, field, None)
-            if value is not None:
-                timings[field] = value
-        extra = dict(bench.extra_info or {})
-        counters = extra.pop("counters", None)
-        records.append({
-            "name": bench.name,
-            "fullname": bench.fullname,
-            "group": bench.group,
-            "params": bench.params,
-            "timings_s": timings,
-            "counters": counters,
-            # anything else a bench attached (e.g. the serving cache's
-            # warm-vs-cold hit/miss/eviction counters)
-            "extra": extra or None,
-        })
-    path = session.config.rootpath / "BENCH_results.json"
-    payload = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "benchmarks": records,
-        "history": _rolled_history(path),
-    }
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    print(f"\nwrote {path} ({len(records)} benchmarks, "
-          f"{len(payload['history'])} historical runs)")
-
-
-_HISTORY_LIMIT = 50  # runs kept; one compact record per past session
-
-
-def _rolled_history(path):
-    """The prior file's history plus its current run, compacted.
-
-    Each historical entry keeps only the mean timing per benchmark --
-    enough to plot a trajectory across commits without ballooning the
-    file.  Unreadable or foreign JSON starts the history fresh.
-    """
-    try:
-        previous = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return []
-    if not isinstance(previous, dict):
-        return []
-    history = [entry for entry in previous.get("history") or []
-               if isinstance(entry, dict)]
-    benches = previous.get("benchmarks")
-    if isinstance(benches, list) and benches:
-        means = {}
-        for bench in benches:
-            if not isinstance(bench, dict):
-                continue
-            name = bench.get("fullname") or bench.get("name")
-            timings = bench.get("timings_s")
-            if name and isinstance(timings, dict):
-                means[name] = timings.get("mean")
-        if means:
-            history.append({
-                "python": previous.get("python"),
-                "machine": previous.get("machine"),
-                "mean_s": means,
-            })
-    return history[-_HISTORY_LIMIT:]

@@ -13,9 +13,11 @@ across *processes*, so the GIL stops bounding cube throughput:
    aggregate through its columnar kernel -- per-partition aggregation
    with mergeable scratchpads, exactly as the paper prescribes for
    parallel database systems.
-3. **Gather + combine**: partition results (code tuples plus primitive
-   handles) come back over the pipes; the parent decodes codes through
-   the retained dictionaries and merges partition handles in partition
+3. **Gather + combine**: partition results (each group's first row
+   plus primitive handles) come back over the pipes; the parent reads
+   each coordinate from that row of the task -- never from the
+   dictionaries, which keep one of several hash-equal values (``1``,
+   ``1.0``, ``True``) -- and merges partition handles in partition
    index order (``Iter_super``).  Because the ranges are contiguous,
    partition-order first-seen discovery reproduces the *global*
    first-seen group order, so the combined core is the same dict -- in
@@ -248,12 +250,11 @@ class ClusterCubeAlgorithm(CubeAlgorithm):
         finally:
             MANAGER.release(shm.name)
 
-        return self._combine(task, batch, core_mask, core_dims, outcomes,
-                             stats)
+        return self._combine(task, core_mask, outcomes, stats)
 
-    def _combine(self, task: CubeTask, batch: ColumnBatch, core_mask: int,
-                 core_dims: list, outcomes: list, stats) -> CubeResult:
-        n = task.n_dims
+    def _combine(self, task: CubeTask, core_mask: int, outcomes: list,
+                 stats) -> CubeResult:
+        project = task.projector(core_mask)
         with trace.span("cube.cluster.coalesce",
                         workers=len(outcomes)) as span:
             combined: dict[tuple, list] = {}
@@ -264,11 +265,13 @@ class ClusterCubeAlgorithm(CubeAlgorithm):
                 stats.iter_calls += payload["iter_calls"]
                 stats.start_calls += payload["n_groups"] * task.n_aggs
                 local_groups += payload["n_groups"]
-                for codes, handles in payload["groups"]:
-                    dim_values: list = [None] * n
-                    for position, d in enumerate(core_dims):
-                        dim_values[d] = batch.dims[d].values[codes[position]]
-                    coordinate = task.coordinate(core_mask, dim_values)
+                # coordinates come from each group's first row, never
+                # from the decode lists (which hold one of several
+                # hash-equal values); partitions are contiguous and in
+                # row order, so the first partition's key is kept
+                for row, (_, handles) in zip(payload["rows"],
+                                             payload["groups"]):
+                    coordinate = project(task.rows[row])
                     target = combined.get(coordinate)
                     if target is None:
                         target = task.new_handles(stats)

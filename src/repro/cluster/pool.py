@@ -100,8 +100,9 @@ def run_partition_spec(spec: dict, *, force_python: bool,
     the lattice-core dimension codes (first-seen order, so the parent's
     partition-order combine reproduces the global first-seen order) and
     scatter each aggregate through its columnar kernel.  Returns only
-    primitives -- ``(code-tuple, handle-list)`` pairs plus counters --
-    so the result pickles trivially and the parent's
+    primitives -- ``(code-tuple, handle-list)`` pairs, each group's
+    first row as a task row index, and counters -- so the result
+    pickles trivially and the parent's
     ``fold_super_aggregates`` walk stays bit-identical to the
     single-process columnar sparse route.
 
@@ -161,7 +162,10 @@ def run_partition_spec(spec: dict, *, force_python: bool,
         rep = representatives[gid]
         codes = tuple(int(slab.dims[d].codes[rep]) for d in core_dims)
         groups.append((codes, [state.handle(gid) for state in states]))
-    return {"groups": groups, "iter_calls": iter_calls,
+    # each group's first row, as a task row index: the parent reads the
+    # coordinate from it (hash-equal 1/1.0/True share a code)
+    rows = [spec["start"] + rep for rep in representatives]
+    return {"groups": groups, "rows": rows, "iter_calls": iter_calls,
             "n_groups": n_groups}
 
 

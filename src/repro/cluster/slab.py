@@ -12,9 +12,10 @@ one ``multiprocessing.shared_memory`` segment:
 The header is *structural only* (row count, per-column offsets, counts
 and flags); the dictionary decode lists -- arbitrary python objects --
 never cross the process boundary.  Workers group and aggregate on the
-integer codes alone and return ``(code-tuple, handle-list)`` pairs; the
-parent, which kept the dictionaries, decodes codes back to values.  No
-pickle bytes are ever produced for row data.
+integer codes alone and return ``(code-tuple, handle-list)`` pairs plus
+each group's first row index; the parent, which kept the task rows,
+reads values back from those rows.  No pickle bytes are ever produced
+for row data.
 
 **Attach semantics.**  A worker attaches by name and copies only its
 ``[start, end)`` row slice out of the segment (one ``memcpy`` per

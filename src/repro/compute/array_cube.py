@@ -146,6 +146,12 @@ class ArrayCubeAlgorithm(CubeAlgorithm):
 
         count_array = np.zeros(shape, dtype=np.int64)
         np.add.at(count_array.reshape(-1), flat_core, 1)
+        # each slot's first input row, projected with min: coordinates
+        # read their values from it, as from-core does -- the symbol
+        # table holds one of several hash-equal values (1, 1.0, True)
+        first_row = np.full(shape, t_rows, dtype=np.int64)
+        np.minimum.at(first_row.reshape(-1), flat_core,
+                      np.arange(t_rows, dtype=np.int64))
 
         accumulators: list[_Accumulator] = []
         for position, fn in enumerate(task.functions):
@@ -168,6 +174,7 @@ class ArrayCubeAlgorithm(CubeAlgorithm):
             core = tuple(core_slice)
             target = tuple(all_slice)
             count_array[target] = count_array[core].sum(axis=axis)
+            first_row[target] = first_row[core].min(axis=axis)
             for accumulator in accumulators:
                 accumulator.project(axis, core, target)
             slab_cells = int(np.prod(
@@ -189,9 +196,9 @@ class ArrayCubeAlgorithm(CubeAlgorithm):
                 full_index = tuple(
                     int(offset[i]) if mask & (1 << i) else len(value_lists[i])
                     for i in range(n))
-                coordinate = tuple(
-                    value_lists[i][full_index[i]] if mask & (1 << i) else ALL
-                    for i in range(n))
+                row = task.rows[first_row[full_index]]
+                coordinate = tuple(row[i] if mask & (1 << i) else ALL
+                                   for i in range(n))
                 values = tuple(acc.decode(full_index)
                                for acc in accumulators)
                 cells.append((coordinate, values))

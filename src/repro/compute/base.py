@@ -15,20 +15,43 @@ exists.
 from __future__ import annotations
 
 import time
+import weakref
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.aggregates.base import AggregateFunction, Handle
 from repro.core.grouping import Mask
 from repro.compute.stats import ComputeStats
+from repro.engine.expressions import column_position
 from repro.engine.groupby import AggregateSpec
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.errors import CubeError
 from repro.types import ALL, DataType
 
-__all__ = ["CubeTask", "CubeResult", "CubeAlgorithm", "build_task"]
+__all__ = ["CubeTask", "CubeResult", "CubeAlgorithm", "TaskSource",
+           "build_task"]
+
+
+@dataclass(frozen=True)
+class TaskSource:
+    """Where a task's columns came from, so a reader can reuse state
+    the source table keeps per version (the columnar image).
+
+    ``version`` is the table version the task's rows were read at;
+    ``dims[i]`` / ``aggs[p]`` is the source-table column that task
+    position copies verbatim, ``"*"`` for COUNT(*)'s constant 1, or
+    None when the value was computed per row.  The table is held
+    weakly: a task never keeps a table, or anything it caches, alive.
+    """
+
+    table: "weakref.ref[Table]"
+    version: int
+    dims: tuple
+    aggs: tuple
 
 
 @dataclass
@@ -40,6 +63,10 @@ class CubeTask:
     to produce.  Aggregate-input positions corresponding to values the
     function does not accept (NULL/ALL under the Section 3.3 rule) are
     filtered at fold time, not here, so COUNT(*) still sees every row.
+
+    ``source`` is set by :func:`build_task` only; ``dataclasses.replace``
+    drops it (a replaced task's positions need not line up with it any
+    more) and pickling leaves it out.
     """
 
     dims: tuple[str, ...]
@@ -48,6 +75,13 @@ class CubeTask:
     agg_names: tuple[str, ...]
     rows: list[tuple]
     masks: tuple[Mask, ...]
+    source: TaskSource | None = field(default=None, init=False,
+                                      repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("source", None)
+        return state
 
     def __post_init__(self) -> None:
         if len(self.dims) != len(self.dim_columns):
@@ -89,6 +123,17 @@ class CubeTask:
             dim_values[i] if mask & (1 << i) else ALL
             for i in range(self.n_dims))
 
+    def projector(self, mask: Mask) -> Callable[[Sequence[Any]], tuple]:
+        """:meth:`coordinate` for one mask as a reusable function of the
+        dimension values (a task row or a coordinate both work): one
+        C-level pick out of ``(*values, ALL)`` per call instead of a
+        per-position generator."""
+        picks = [i if mask & (1 << i) else -1 for i in range(self.n_dims)]
+        if len(picks) < 2:  # itemgetter returns a tuple only for 2+ picks
+            return lambda values: tuple((*values, ALL)[i] for i in picks)
+        pick = itemgetter(*picks)
+        return lambda values: pick((*values, ALL))
+
     def mask_label(self, mask: Mask) -> str:
         """Human-readable grouping-set label (span attributes, EXPLAIN
         ANALYZE rows): the grouped dimension names, or ``()`` for the
@@ -119,10 +164,10 @@ class CubeTask:
             self,
             cells: Iterable[tuple[tuple, Sequence[Any]]]) -> Table:
         """Build the output relation from (coordinate, final values)."""
-        table = Table(self.output_schema())
-        for coordinate, values in cells:
-            table.append(coordinate + tuple(values), validate=False)
-        return table
+        return Table(self.output_schema(),
+                     (coordinate + tuple(values)
+                      for coordinate, values in cells),
+                     validate=False)
 
     # -- shared fold helpers -------------------------------------------------
 
@@ -331,28 +376,42 @@ def build_task(table: Table,
     ``dims`` entries are column names, expressions, or (expression,
     alias) pairs -- the same key forms GROUP BY accepts.  Expressions
     are evaluated here, once, so algorithms see plain dimension columns.
+
+    The rows are assembled column by column: a plain column reference
+    is a C-level positional pick, COUNT(*)'s input the constant 1, and
+    only computed expressions are evaluated per row from a row context.
+    The task's :attr:`~CubeTask.source` records which is which.
     """
     from repro.engine.groupby import normalize_keys
 
     normalized = normalize_keys(dims)
-    names = table.schema.names
+    version = table.version  # before the rows are read
+    schema = table.schema
+    sources = tuple(column_position(expr, schema) for expr, _ in normalized)
+    dim_columns = [Column(alias, DataType.ANY) if position is None
+                   else schema.columns[position].renamed(alias)
+                   for (_, alias), position in zip(normalized, sources)]
+    sources += tuple("*" if spec.input == "*"
+                     else column_position(spec.input, schema)
+                     for spec in specs)
 
-    dim_columns = []
-    for expr, alias in normalized:
-        from repro.engine.expressions import ColumnRef
-        if isinstance(expr, ColumnRef) and expr.name in table.schema:
-            dim_columns.append(table.schema.column(expr.name).renamed(alias))
+    base = table.rows
+    evaluators = ([expr.evaluate for expr, _ in normalized]
+                  + [spec.evaluate_input for spec in specs])
+    computed = [evaluate for evaluate, source in zip(evaluators, sources)
+                if source is None]
+    values = iter(_evaluate_per_row(schema.names, base, computed))
+    columns: list[Iterable] = []
+    for source in sources:
+        if source is None:
+            columns.append(next(values))
+        elif source == "*":
+            columns.append(repeat(1, len(base)))
         else:
-            dim_columns.append(Column(alias, DataType.ANY))
+            columns.append(map(itemgetter(source), base))
+    rows = list(zip(*columns)) if columns else [()] * len(base)
 
-    rows: list[tuple] = []
-    for row in table:
-        context = dict(zip(names, row))
-        dim_values = tuple(expr.evaluate(context) for expr, _ in normalized)
-        agg_values = tuple(spec.evaluate_input(context) for spec in specs)
-        rows.append(dim_values + agg_values)
-
-    return CubeTask(
+    task = CubeTask(
         dims=tuple(alias for _, alias in normalized),
         dim_columns=tuple(dim_columns),
         functions=tuple(spec.function for spec in specs),
@@ -360,3 +419,19 @@ def build_task(table: Table,
         rows=rows,
         masks=tuple(masks),
     )
+    task.source = TaskSource(weakref.ref(table), version,
+                             sources[:task.n_dims], sources[task.n_dims:])
+    return task
+
+
+def _evaluate_per_row(names: Sequence[str], rows: Sequence[tuple],
+                      evaluators: Sequence) -> list[list]:
+    """One value list per evaluator, from a single pass that builds one
+    row context at a time."""
+    columns: list[list] = [[] for _ in evaluators]
+    if evaluators:
+        for row in rows:
+            context = dict(zip(names, row))
+            for column, evaluate in zip(columns, evaluators):
+                column.append(evaluate(context))
+    return columns

@@ -222,13 +222,25 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
         slots = flat_offsets(batch, range(n), strides, xp)
 
+        # ``first`` is each slot's first input row (a min-scatter of the
+        # row index, projected with min): a cell's grouped values are
+        # read from that row, which is what from-core reports.  The
+        # decode lists cannot be used: hash-equal values (1, 1.0, True)
+        # share one code, and the list only holds the column's first.
+        rows = task.rows
+        n_rows = len(rows)
         if xp is None:
             counts = [0] * dense_slots
-            for code in slots:
+            first = [n_rows] * dense_slots
+            for i, code in enumerate(slots):
                 counts[code] += 1
+                if first[code] > i:
+                    first[code] = i
         else:
             counts = xp.zeros(dense_slots, dtype=xp.int64)
             xp.add.at(counts, slots, 1)
+            first = xp.full(dense_slots, n_rows, dtype=xp.int64)
+            xp.minimum.at(first, slots, xp.arange(n_rows, dtype=xp.int64))
 
         states = []
         for fn, column in zip(task.functions, columns):
@@ -248,6 +260,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
                     target = base + ci * stride
                     offsets = [base + k * stride for k in range(ci)]
                     counts[target] = sum(counts[o] for o in offsets)
+                    first[target] = min(first[o] for o in offsets)
                     for state in states:
                         for offset in offsets:
                             state.fold(target, offset)
@@ -259,6 +272,8 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
                 core, target = tuple(core_slice), tuple(all_slice)
                 view = counts.reshape(shape)
                 view[target] = view[core].sum(axis=axis)
+                view = first.reshape(shape)
+                view[target] = view[core].min(axis=axis)
                 for state in states:
                     state.project_np(shape, axis, core, target)
             slab_cells = math.prod(shape[i] for i in range(n) if i != axis)
@@ -266,6 +281,9 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
         stats.observe_resident(dense_slots * (2 * task.n_aggs + 1))
 
+        if xp is not None:  # the walk below reads them slot by slot
+            counts, first = counts.tolist(), first.tolist()
+        built = list(zip(task.functions, states))
         finalized = []
         for mask in task.masks:
             grouped = [i for i in range(n) if mask & (1 << i)]
@@ -277,12 +295,12 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
                                   for j, i in enumerate(grouped))
                 if counts[flat] > 0:
                     coordinate: list = [ALL] * n
-                    for j, i in enumerate(grouped):
-                        coordinate[i] = batch.dims[i].values[index[j]]
-                    values = tuple(
-                        fn.end(state.handle(flat))
-                        for fn, state in zip(task.functions, states))
-                    stats.end_calls += task.n_aggs
+                    row = rows[first[flat]]
+                    for i in grouped:
+                        coordinate[i] = row[i]
+                    values = tuple(fn.end(state.handle(flat))
+                                   for fn, state in built)
+                    stats.end_calls += len(built)
                     finalized.append((tuple(coordinate), values))
                 # odometer over the grouped dimensions' real slots
                 position = len(grouped) - 1

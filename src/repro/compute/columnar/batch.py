@@ -13,6 +13,12 @@ works without any third-party dependency; when numpy is importable the
 the vectorized kernels.  Which backend runs is decided once per
 computation (see :mod:`repro.compute.columnar.kernels`).
 
+The encoding is done once per *table version*, not once per query: a
+:class:`TableImage` in the source table's memo slot keeps every column
+a query has selected, and a later batch over the same version selects
+those columns again instead of re-encoding them.  Only computed
+positions (``Day(Time)``, ``Units * Price``) are encoded per query.
+
 Encoding notes that keep the batch bit-compatible with the row path:
 
 - dimension codes are assigned in **first-seen row order** (a plain
@@ -33,10 +39,13 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.resilience import context as rctx
 from repro.types import is_null_or_all
+
+if TYPE_CHECKING:
+    from repro.engine.table import Table
 
 try:  # optional fast path; every code path below works without it
     import numpy as _numpy
@@ -44,7 +53,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _numpy = None
 
 __all__ = ["AggColumn", "BATCH_ROWS", "ColumnBatch", "DictEncodedColumn",
-           "HAVE_NUMPY", "numpy_backend"]
+           "HAVE_NUMPY", "TableImage", "numpy_backend"]
 
 #: Rows between cooperative-cancellation checkpoints while encoding.
 BATCH_ROWS = 256
@@ -66,6 +75,10 @@ class DictEncodedColumn:
         self.name = name
         self.values = values
         self.codes = codes
+
+    def renamed(self, name: str) -> "DictEncodedColumn":
+        """The same buffers under another name."""
+        return DictEncodedColumn(name, self.values, self.codes)
 
     @property
     def cardinality(self) -> int:
@@ -104,6 +117,12 @@ class AggColumn:
         self.n_valid = n_valid
         self.n_float = n_float
 
+    def renamed(self, name: str) -> "AggColumn":
+        """The same buffers under another name."""
+        return AggColumn(name, self.raw, self.valid, self.nan, self.floats,
+                         self.numeric, self.data, self.n_valid,
+                         self.n_float)
+
     @property
     def mixed_number_types(self) -> bool:
         """True when the column holds both int- and float-typed values.
@@ -141,30 +160,47 @@ class ColumnBatch:
 
     @classmethod
     def from_task(cls, task) -> "ColumnBatch":
-        """Batch a task's row list into typed columns, checkpointing
-        every :data:`BATCH_ROWS` rows.
+        """Batch a task's rows into typed columns.
 
-        Aggregate specs that read the same source column put the *same
-        value objects* at each of their row positions, so positions
-        that are element-wise identical share one set of masks and one
-        float64 buffer instead of re-scanning the column per spec."""
+        A position the task copied verbatim from its source table
+        (``task.source``) is *selected* from the table's
+        :class:`TableImage` -- encoded once per table version, buffers
+        shared, renamed here.  Only computed positions are encoded per
+        batch, from the rows, checkpointing every :data:`BATCH_ROWS`
+        rows.  Computed aggregate inputs that are element-wise the
+        *same value objects* share one set of masks and one float64
+        buffer instead of re-scanning per spec."""
         rows = task.rows
         n_dims = task.n_dims
+        source = task.source
+        if source is None:
+            table = image = None
+            dim_sources = (None,) * n_dims
+            agg_sources = (None,) * task.n_aggs
+        else:
+            table = source.table()
+            image = _image_at(table, source.version)
+            dim_sources, agg_sources = source.dims, source.aggs
         dims = [
-            DictEncodedColumn(task.dims[i],
-                              *_encode([row[i] for row in rows]))
-            for i in range(n_dims)
+            DictEncodedColumn(name, *_encode([row[i] for row in rows]))
+            if position is None
+            else _image_column(table, image, ("dim", position), rows,
+                               i).renamed(name)
+            for i, (name, position) in enumerate(zip(task.dims,
+                                                     dim_sources))
         ]
         aggs: list[AggColumn] = []
         built: list[AggColumn] = []
-        for p, name in enumerate(task.agg_names):
+        for p, (name, position) in enumerate(zip(task.agg_names,
+                                                 agg_sources)):
+            if position is not None:
+                aggs.append(_image_column(table, image, ("agg", position),
+                                          rows, n_dims + p).renamed(name))
+                continue
             raw = [row[n_dims + p] for row in rows]
             for other in built:
                 if all(map(operator.is_, raw, other.raw)):
-                    aggs.append(AggColumn(name, raw, other.valid,
-                                          other.nan, other.floats,
-                                          other.numeric, other.data,
-                                          other.n_valid, other.n_float))
+                    aggs.append(other.renamed(name))
                     break
             else:
                 column = _build_agg_column(name, raw)
@@ -187,6 +223,57 @@ class ColumnBatch:
         aggs = [_build_agg_column(name, list(values))
                 for name, values in agg_columns.items()]
         return cls(n_rows, dims, aggs)
+
+
+class TableImage:
+    """One table version's encoded columns, shared by every query that
+    reads that version.
+
+    It lives in the table's ``memo`` slot, which every table mutator
+    clears, and is filled lazily: a column is encoded the first time a
+    query selects it.  Keys are ``("dim", position)`` for a
+    :class:`DictEncodedColumn`, ``("agg", position)`` for an
+    :class:`AggColumn`, and ``("agg", "*")`` for the COUNT(*) column of
+    ones.  Dictionaries follow the table's row order, which is the
+    first-seen order of every task built from it.
+    """
+
+    __slots__ = ("version", "columns")
+
+    def __init__(self, version: int) -> None:
+        self.version = version
+        self.columns: dict[tuple, Any] = {}
+
+
+def _image_at(table: "Table | None", version: int) -> TableImage:
+    """``table``'s image if it is at ``version`` (the version a task's
+    rows were read at), else a fresh, detached image for that version."""
+    image = table.memo if table is not None else None
+    if isinstance(image, TableImage) and image.version == version:
+        return image
+    return TableImage(version)
+
+
+def _image_column(table: "Table | None", image: TableImage, key: tuple,
+                  rows: list, index: int):
+    """Column ``key`` of ``image``: selected when present, else encoded
+    from the task's copy of it, ``rows[*][index]``, through the same
+    encoders computed positions use, and kept in the image.
+
+    No lock: two readers encoding the same column build equal columns.
+    The image is attached to ``table`` only while the table is alive
+    and still at the image's version, so neither a stale task nor a
+    racing writer leaves a wrong column in a table's image (a detached
+    image still shares its columns within one batch)."""
+    column = image.columns.get(key)
+    if column is None:
+        values = [row[index] for row in rows]
+        column = (DictEncodedColumn("", *_encode(values)) if key[0] == "dim"
+                  else _build_agg_column("", values))
+        image.columns[key] = column
+        if table is not None and table.version == image.version:
+            table.memo = image
+    return column
 
 
 def _encode(values: list) -> tuple[list, array]:

@@ -21,7 +21,7 @@ maintenance needs to know when a cell or a scratchpad empties) from one
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.aggregates.base import AggregateFunction, Handle
 from repro.compute.base import CubeTask
@@ -99,24 +99,28 @@ class CoreCells:
 
     ``coordinates[g]`` and ``handles[g]`` describe cell ``g`` (one
     handle per task aggregate; positions the kernels did not build hold
-    ``fn.start()``); ``gids[i]`` is the cell of input row ``i``.
+    ``fn.start()``); :attr:`gids` maps input rows to cells.
     """
 
-    __slots__ = ("coordinates", "handles", "gids", "_functions",
+    __slots__ = ("coordinates", "handles", "_functions",
                  "_columns", "_slots", "_xp", "_rows")
 
     def __init__(self, coordinates: list[tuple],
-                 handles: list[list[Handle]], gids: list[int],
+                 handles: list[list[Handle]],
                  functions: Sequence[AggregateFunction],
                  columns: Sequence[AggColumn | None], slots, xp) -> None:
         self.coordinates = coordinates
         self.handles = handles
-        self.gids = gids
         self._functions = functions
         self._columns = columns
         self._slots = slots
         self._xp = xp
         self._rows: list[int] | None = None
+
+    @property
+    def gids(self) -> list[int]:
+        """``gids[i]`` is the cell of input row ``i``."""
+        return self._slots if self._xp is None else self._slots.tolist()
 
     def _bincount(self, mask=None) -> list[int]:
         """Rows per cell (``mask`` keeps a subset), as python ints."""
@@ -203,26 +207,14 @@ def core_scratchpads(task: CubeTask, batch: ColumnBatch,
         stride *= cards[i]
     flat = flat_offsets(batch, core_dims, core_strides, xp)
     if xp is not None:
-        flat = flat.tolist()
-
-    group_of: dict[int, int] = {}
-    gids = [0] * batch.n_rows
-    representatives: list[int] = []
-    for start in range(0, batch.n_rows, BATCH_ROWS):
-        rctx.checkpoint("columnar group scan")
-        for i in range(start, min(start + BATCH_ROWS, batch.n_rows)):
-            key = flat[i]
-            gid = group_of.get(key)
-            if gid is None:
-                gid = group_of[key] = len(group_of)
-                representatives.append(i)
-            gids[i] = gid
-    n_groups = len(group_of)
+        slots, representatives = _first_seen_ids_np(flat, xp)
+    else:
+        slots, representatives = _first_seen_ids(flat)
+    n_groups = len(representatives)
 
     rctx.charge_cells(n_groups, "columnar core groups")
     stats.start_calls += n_groups * task.n_aggs
 
-    slots = xp.asarray(gids, dtype=xp.int64) if xp is not None else gids
     with trace.span("cube.node", dims=task.mask_label(core_mask),
                     role="core", rows=len(task.rows)) as span:
         states = []
@@ -234,12 +226,42 @@ def core_scratchpads(task: CubeTask, batch: ColumnBatch,
             stats.iter_calls += state.scatter(slots, column)
             states.append(state)
         rows = task.rows
-        coordinates = [task.coordinate(core_mask, rows[i])
-                       for i in representatives]
+        project = task.projector(core_mask)
+        coordinates = [project(rows[i]) for i in representatives]
         built = list(zip(task.functions, states))
         handles = [[fn.start() if state is None else state.handle(gid)
                     for fn, state in built]
                    for gid in range(n_groups)]
         span.set(cells=n_groups)
-    return CoreCells(coordinates, handles, gids, task.functions, columns,
-                     slots, xp)
+    return CoreCells(coordinates, handles, task.functions, columns, slots,
+                     xp)
+
+
+def _first_seen_ids(flat: list[int]) -> tuple[list[int], list[int]]:
+    """Group id per row, numbered in first-seen order, plus each
+    group's first row (pure python: one dict probe per row)."""
+    group_of: dict[int, int] = {}
+    gids = [0] * len(flat)
+    representatives: list[int] = []
+    for start in range(0, len(flat), BATCH_ROWS):
+        rctx.checkpoint("columnar group scan")
+        for i in range(start, min(start + BATCH_ROWS, len(flat))):
+            key = flat[i]
+            gid = group_of.get(key)
+            if gid is None:
+                gid = group_of[key] = len(group_of)
+                representatives.append(i)
+            gids[i] = gid
+    return gids, representatives
+
+
+def _first_seen_ids_np(flat, xp) -> tuple[Any, list[int]]:
+    """:func:`_first_seen_ids` on numpy: ``unique`` sorts the keys, and
+    ranking each key by its first row restores first-seen numbering."""
+    rctx.checkpoint("columnar group scan")
+    _, first, inverse = xp.unique(flat, return_index=True,
+                                  return_inverse=True)
+    order = xp.argsort(first)
+    rank = xp.empty_like(order)
+    rank[order] = xp.arange(order.shape[0])
+    return rank[inverse.reshape(-1)], first[order].tolist()

@@ -83,7 +83,9 @@ class _KernelState:
         for arr, mode in self.np_arrays:
             view = arr.reshape(shape)
             if mode == "sum":
-                view[target] = view[core].sum(axis=axis)
+                # numpy's reduction starts at +0.0, which would turn a
+                # slab of -0.0 into 0.0; -0.0 changes nothing else
+                view[target] = view[core].sum(axis=axis, initial=-0.0)
             elif mode == "min":
                 view[target] = view[core].min(axis=axis)
             else:
@@ -140,13 +142,19 @@ class _CountState(_CountStarState):
 
 
 class _SumState(_KernelState):
-    """SUM: handle is None until a value is seen (SQL's empty-sum NULL)."""
+    """SUM: handle is None until a value is seen (SQL's empty-sum NULL).
+
+    The numpy accumulator starts at ``-0.0``, the IEEE additive
+    identity: ``-0.0 + x`` is ``x`` for every ``x``, so a group of only
+    ``-0.0`` sums to ``-0.0`` as the row path does (``+0.0`` would turn
+    it into ``0.0``), and empty dense slots fold in as no-ops.  AVG
+    keeps ``+0.0``: its row-path scratchpad starts at the int ``0``."""
 
     def _init(self) -> None:
         if self.xp is None:
             self.acc: list = [None] * self.size
         else:
-            self.acc = self.xp.zeros(self.size, dtype=self.xp.float64)
+            self.acc = self.xp.full(self.size, -0.0, dtype=self.xp.float64)
             self.cnt = self.xp.zeros(self.size, dtype=self.xp.int64)
             self.fcnt = self.xp.zeros(self.size, dtype=self.xp.int64)
             self.np_arrays = [(self.acc, "sum"), (self.cnt, "sum"),

@@ -105,6 +105,17 @@ def _array_eligible(task: CubeTask, dense_budget: int) -> bool:
     return dense_cells <= dense_budget
 
 
+def _core_over_budget(task: CubeTask,
+                      memory_budget: int | None) -> int | None:
+    """The core's cell count when it exceeds ``memory_budget``, else
+    None.  Counting the core is a full scan, so it only happens under a
+    budget."""
+    if memory_budget is None:
+        return None
+    core = len({task.dim_values(r) for r in task.rows})
+    return core if core > memory_budget else None
+
+
 def choose_algorithm(task: CubeTask, *,
                      memory_budget: int | None = None,
                      dense_budget: int = 1 << 20) -> CubeAlgorithm:
@@ -112,8 +123,7 @@ def choose_algorithm(task: CubeTask, *,
     _validate_budgets(memory_budget, dense_budget)
     if not task.all_mergeable():
         return TwoNAlgorithm()
-    core_estimate = len({task.dim_values(r) for r in task.rows})
-    if memory_budget is not None and core_estimate > memory_budget:
+    if _core_over_budget(task, memory_budget) is not None:
         return ExternalCubeAlgorithm(memory_budget=memory_budget)
     if _columnar_eligible(task):
         return ColumnarCubeAlgorithm(dense_budget=dense_budget)
@@ -131,8 +141,8 @@ def explain_choice(task: CubeTask, *,
         bad = [fn.name for fn in task.functions if not fn.mergeable]
         return (f"2^N: {bad} are holistic (no Iter_super), so only the "
                 "2^N-algorithm applies (Section 5)")
-    core_estimate = len({task.dim_values(r) for r in task.rows})
-    if memory_budget is not None and core_estimate > memory_budget:
+    core_estimate = _core_over_budget(task, memory_budget)
+    if core_estimate is not None:
         return (f"external: estimated core ({core_estimate} cells) exceeds "
                 f"the memory budget ({memory_budget}); hybrid-hash "
                 "partitioning required")

@@ -24,7 +24,8 @@ A :class:`PartialCube` is built the way Section 5 builds any cube -- one
 base scan aggregates the core, everything else is ``Iter_super`` from
 it -- and the core scan is the columnar engine's
 (:func:`repro.compute.columnar.core.core_scratchpads`: dictionary
-codes, fused kernels, plain scratchpad handles out).  Only aggregates
+codes selected from the source table's encoded image, fused kernels,
+plain scratchpad handles out).  Only aggregates
 without an exact kernel (carrying holistics, sketches, UDAFs,
 non-numeric inputs, the Welford family) are folded row by row.  The
 view sizes the planner needs are the distinct projections of the core's
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
-from operator import itemgetter
 from typing import Sequence
 
 from repro.aggregates.base import Handle
@@ -63,7 +63,6 @@ from repro.errors import (
 )
 from repro.obs import instrument, trace
 from repro.resilience import context as rctx
-from repro.types import ALL
 
 __all__ = ["view_sizes", "greedy_select", "PartialCube"]
 
@@ -107,19 +106,6 @@ def _cheapest_ancestor(mask: Mask, materialized: set[Mask],
     if not candidates:
         raise CubeError(f"no materialized ancestor for mask {mask:#b}")
     return min(candidates, key=lambda m: (sizes[m], m))
-
-
-def _projector(mask: Mask, n_dims: int):
-    """``coordinate -> its projection onto mask`` (grouped positions
-    keep their value, the rest become ALL), as one C-level pick out of
-    ``coordinate + (ALL,)`` -- :meth:`CubeTask.coordinate` without the
-    per-cell generator."""
-    picks = [i if mask & (1 << i) else n_dims for i in range(n_dims)]
-    if n_dims < 2:  # itemgetter returns a tuple only for 2+ picks
-        return lambda coordinate: tuple(
-            (*coordinate, ALL)[i] for i in picks)
-    pick = itemgetter(*picks)
-    return lambda coordinate: pick((*coordinate, ALL))
 
 
 def greedy_select(sizes: dict[Mask, int], k: int, *,
@@ -234,7 +220,7 @@ class PartialCube:
         for mask in universe:
             if mask != core_mask and mask not in (materialize or ()):
                 self.sizes[mask] = max(1, len(set(map(
-                    _projector(mask, self._task.n_dims), core))))
+                    self._task.projector(mask), core))))
         if materialize is None:
             k = budget if budget is not None else len(universe) // 4
             materialize = greedy_select(self.sizes, k,
@@ -243,8 +229,10 @@ class PartialCube:
             [core_mask, *materialize]))
         self._materialize()
         # nothing reads the fact rows once the core exists: answers fold
-        # views and deltas arrive as their own rows
+        # views and deltas arrive as their own rows; nor the table they
+        # came from (a cache entry must not pin the table or its image)
         self._task.rows = []
+        self._task.source = None
         self.stats.cells_produced = self.materialized_rows
         # a partial-cube build is a cube computation: meter it like one,
         # so cold builds and warm answers land in the same catalogue
@@ -279,10 +267,11 @@ class PartialCube:
                     if p not in kernel_built]
         if residual:
             n_dims = task.n_dims
+            gids = cells.gids
             for position, row in enumerate(task.rows):
                 if position % 256 == 0:
                     rctx.checkpoint("partial-cube build")
-                gid = cells.gids[position]
+                gid = gids[position]
                 handles = cells.handles[gid]
                 for p, fn in residual:
                     value = row[n_dims + p]
@@ -309,7 +298,7 @@ class PartialCube:
                 mask, set(self._views), self.sizes, self._lattice)
             source_counts = self._counts[source_mask]
             source_accepted = self._accepted[source_mask]
-            project = _projector(mask, task.n_dims)
+            project = task.projector(mask)
             view: dict[tuple, list[Handle]] = {}
             counts: dict[tuple, int] = {}
             accepted: dict[tuple, list[int]] = {}
@@ -333,7 +322,7 @@ class PartialCube:
     def _fold_down(self, source_mask: Mask,
                    target_mask: Mask) -> dict[tuple, list[Handle]]:
         task = self._task
-        project = _projector(target_mask, task.n_dims)
+        project = task.projector(target_mask)
         out: dict[tuple, list[Handle]] = {}
         for coordinate, handles in self._views[source_mask].items():
             target_coord = project(coordinate)

@@ -13,14 +13,18 @@ collapsed to "NULL is not true" at predicate boundaries).
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ExpressionError
 from repro.types import ALL, is_null_or_all, sort_key
 
+if TYPE_CHECKING:
+    from repro.engine.schema import Schema
+
 __all__ = [
     "Expression",
     "ColumnRef",
+    "column_position",
     "Literal",
     "Arithmetic",
     "Comparison",
@@ -130,6 +134,16 @@ class ColumnRef(Expression):
 
     def __repr__(self) -> str:
         return f"col({self.name!r})"
+
+
+def column_position(expr: Any, schema: "Schema") -> int | None:
+    """Where ``expr`` reads its value verbatim: the position of the
+    column a plain :class:`ColumnRef` names in ``schema``, or None for
+    anything that computes (including a reference to a missing column,
+    whose evaluation raises)."""
+    if isinstance(expr, ColumnRef) and expr.name in schema:
+        return schema.index_of(expr.name)
+    return None
 
 
 class Literal(Expression):

@@ -8,6 +8,7 @@ produces: the base fact tables, the GROUP BY core, and the cube itself
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import TableError
@@ -27,9 +28,16 @@ class Table:
     compare equal as *bags* of rows -- relational results are unordered
     multisets, and cube algorithms are validated against each other with
     bag equality.
+
+    ``version`` counts mutations: every mutator moves it and clears
+    ``memo``, a slot for data derived from *this* version of the rows
+    (the columnar backend keeps its encoded columns there).  Mutate
+    through the mutators, never through the ``rows`` list, or the memo
+    goes stale.  Neither the version nor the memo is pickled.
     """
 
-    __slots__ = ("schema", "_rows", "name")
+    __slots__ = ("schema", "_rows", "name", "_version", "memo",
+                 "__weakref__")
 
     def __init__(self, schema: Schema | Sequence, rows: Iterable[Sequence] = (),
                  *, validate: bool = True, name: str = "") -> None:
@@ -38,7 +46,21 @@ class Table:
         self.schema = schema
         self.name = name
         self._rows: list[Row] = []
+        self._version = 0
+        self.memo: Any = None
         self.extend(rows, validate=validate)
+
+    def __getstate__(self) -> tuple:
+        # the default slotted-object state, minus version and memo, so
+        # a pickled table reads the same to older and newer code alike
+        return None, {"schema": self.schema, "_rows": self._rows,
+                      "name": self.name}
+
+    def __setstate__(self, state: tuple) -> None:
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self._version = 0
+        self.memo = None
 
     # -- construction --------------------------------------------------
 
@@ -70,22 +92,37 @@ class Table:
 
     # -- mutation -------------------------------------------------------
 
+    def _changed(self) -> None:
+        self._version += 1
+        self.memo = None
+
     def append(self, row: Sequence[Any], *, validate: bool = True) -> None:
         row = tuple(row)
         if validate:
             self.schema.validate_row(row)
         self._rows.append(row)
+        self._changed()
 
     def extend(self, rows: Iterable[Sequence[Any]], *,
                validate: bool = True) -> None:
-        for row in rows:
-            self.append(row, validate=validate)
+        append = self._rows.append
+        validate_row = self.schema.validate_row
+        try:
+            for row in rows:
+                row = tuple(row)
+                if validate:
+                    validate_row(row)
+                append(row)
+        finally:  # a row that fails validation leaves its predecessors
+            self._changed()
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
         """Delete rows matching ``predicate``; returns the count removed."""
         kept = [row for row in self._rows if not predicate(row)]
         removed = len(self._rows) - len(kept)
         self._rows[:] = kept
+        if removed:
+            self._changed()
         return removed
 
     def delete_row(self, row: Sequence[Any]) -> bool:
@@ -95,9 +132,15 @@ class Table:
             self._rows.remove(target)
         except ValueError:
             return False
+        self._changed()
         return True
 
     # -- access ---------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """The mutation counter (see the class docstring)."""
+        return self._version
 
     @property
     def rows(self) -> list[Row]:
@@ -119,6 +162,14 @@ class Table:
         """All values of one column, in row order."""
         idx = self.schema.index_of(name)
         return [row[idx] for row in self._rows]
+
+    def pick(self, positions: Sequence[int]) -> list[Row]:
+        """Every row cut down to the values at ``positions``, in that
+        order: one C-level ``itemgetter`` per row, no row context."""
+        if len(positions) == 1:  # itemgetter returns a bare value
+            (index,) = positions
+            return [(row[index],) for row in self._rows]
+        return list(map(itemgetter(*positions), self._rows))
 
     def columns(self, names: Sequence[str] | None = None
                 ) -> dict[str, list[Any]]:

@@ -5,8 +5,8 @@ Two wire formats, both dependency-free:
 - **JSON lines** -- one JSON object per line; metrics export their
   :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` records, spans
   export their :meth:`~repro.obs.trace.Span.to_dict` trees (one root
-  span per line).  This is the machine-diffable format the benchmark
-  trajectory (``BENCH_results.json``) and log shippers consume.
+  span per line).  This is the machine-diffable format log shippers
+  consume.
 - **Prometheus text exposition** -- the de-facto pull format, so a
   scrape endpoint (or a file-based textfile collector) can ingest the
   registry directly.

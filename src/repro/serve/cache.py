@@ -585,12 +585,9 @@ class CuboidCache:
             raise ServeError("no strata to project")
         schema = Schema([template.schema.columns[i].renamed(name)
                          for i, name in zip(indexes, names)])
-        out = Table(schema)
-        for stratum in strata:
-            for row in stratum:
-                out.append(tuple(row[i] for i in indexes),
-                           validate=False)
-        return out
+        return Table(schema, (row for stratum in strata
+                              for row in stratum.pick(indexes)),
+                     validate=False)
 
     # -- admission / eviction ----------------------------------------------
 

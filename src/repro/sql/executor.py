@@ -44,6 +44,7 @@ from repro.engine.expressions import (
     LikeExpr,
     Literal,
     NotExpr,
+    column_position,
 )
 from repro.engine.groupby import AggregateSpec, hash_group_by
 from repro.engine.join import hash_join, nested_loop_join
@@ -775,22 +776,31 @@ class SQLSession:
                        items: list[SelectItem]) -> Table:
         columns: list[Column] = []
         evaluators: list[Expression | None] = []  # None = expand Star
+        # the source position of every output value while all of them
+        # are plain column references (the rule build_task uses)
+        positions: list[int] | None = []
         for item in items:
             if isinstance(item.expression, Star):
                 columns.extend(table.schema.columns)
                 evaluators.append(None)
+                if positions is not None:
+                    positions.extend(range(len(table.schema)))
             else:
                 name = item.alias or item.expression.default_name()
-                if isinstance(item.expression, ColumnRef) \
-                        and item.expression.name in table.schema:
+                position = column_position(item.expression, table.schema)
+                if position is not None:
                     columns.append(
-                        table.schema.column(item.expression.name)
-                        .renamed(name))
+                        table.schema.columns[position].renamed(name))
+                    if positions is not None:
+                        positions.append(position)
                 else:
                     columns.append(Column(name, DataType.ANY,
                                           all_allowed=True))
+                    positions = None
                 evaluators.append(item.expression)
         schema = Schema(self._dedupe_names(columns))
+        if positions is not None:
+            return Table(schema, table.pick(positions), validate=False)
         names = table.schema.names
         out = Table(schema)
         for row in table:

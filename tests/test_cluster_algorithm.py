@@ -55,6 +55,21 @@ class TestBitIdentity:
                           cube_sets(3))
         assert not isinstance(choose_algorithm(task), ClusterCubeAlgorithm)
 
+    @pytest.mark.parametrize("force_python", [False, True])
+    def test_hash_equal_dimension_values_keep_their_row_type(
+            self, force_python):
+        # 1, 1.0 and True share one code; each coordinate must carry the
+        # value of the first row of its cell, as from-core reports it,
+        # including groups whose first row lies in a later partition
+        table = Table([("d", "ANY"), ("e", "STRING"), ("m", "INTEGER")],
+                      [(1.0, "x", 1), (1, "y", 2), (True, "z", 3)] * 200)
+        aggs = [agg("SUM", "m", "s")]
+        got = cube(table, ["d", "e"], aggs, algorithm=ClusterCubeAlgorithm(
+            n_workers=2, force_python=force_python))
+        want = cube(table, ["d", "e"], aggs, algorithm="from-core")
+        assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
+        assert (True, "z", 600) in got.rows
+
     def test_releases_every_slab(self, figure4):
         cube(figure4, DIMS, AGGS, algorithm=ClusterCubeAlgorithm(n_workers=2))
         assert MANAGER.active() == 0

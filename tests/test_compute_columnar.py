@@ -297,3 +297,97 @@ class TestTableColumns:
         assert batch.n_rows == 3
         assert batch.dims[0].values == ["p", "q"]
         assert list(batch.aggs[0].valid) == [1, 0, 1]
+
+
+def _cube_reprs(table):
+    return sorted(map(repr, table.rows))
+
+
+def _from_core(task):
+    from repro.compute import FromCoreAlgorithm
+    return _cube_reprs(FromCoreAlgorithm().compute(task).table)
+
+
+def _through_the_cache(table, dims, specs, masks):
+    """Every grouping set answered by a PartialCube (the cache's miss
+    path), as one relation."""
+    from repro.compute.view_selection import PartialCube
+    cube = PartialCube(table, dims, specs, materialize=list(masks),
+                       universe=list(masks))
+    return sorted(repr(row) for mask in masks
+                  for row in cube.answer(mask).rows)
+
+
+#: every columnar route on both backends, plus the array algorithm
+DENSE_ROUTES = [
+    pytest.param(lambda: ColumnarCubeAlgorithm(mode="dense"),
+                 id="columnar-dense"),
+    pytest.param(lambda: ColumnarCubeAlgorithm(mode="dense",
+                                               force_python=True),
+                 id="columnar-dense-python"),
+    pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse"),
+                 id="columnar-sparse"),
+    pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse",
+                                               force_python=True),
+                 id="columnar-sparse-python"),
+]
+
+
+class TestHashEqualDimensionValues:
+    """``1``, ``1.0`` and ``True`` hash equal, so they share one code.
+    Every grouped value must still be the one from-core reports: the
+    value of the first row that reached the cell, in core cells and in
+    super-aggregates alike."""
+
+    ROWS = [(1.0, "x", 1), (1, "y", 2), (True, "z", 3)] * 200
+
+    def task(self):
+        table = Table([("d", "ANY"), ("e", "STRING"), ("m", "INTEGER")],
+                      self.ROWS)
+        return build_task(table, ["d", "e"], [AggregateSpec(Sum(), "m", "s")],
+                          cube_sets(2))
+
+    @pytest.mark.parametrize("make", DENSE_ROUTES + [
+        pytest.param(lambda: __import__(
+            "repro.compute.array_cube", fromlist=["x"]).ArrayCubeAlgorithm(),
+            id="array")])
+    def test_routes_report_from_core_values(self, make):
+        task = self.task()
+        got = _cube_reprs(make().compute(task).table)
+        assert got == _from_core(task)
+        assert "(1, 'y', 400)" in got and "(True, 'z', 600)" in got
+        assert "(1.0, ALL, 1200)" in got and "(ALL, 'z', 600)" in got
+
+
+class TestNegativeZeroSum:
+    """A SUM over only ``-0.0`` is ``-0.0`` on every path, in core and
+    super-aggregate cells; AVG stays ``0.0`` and a group whose values
+    are all NULL still sums to NULL."""
+
+    ROWS = [("a", "p", -0.0), ("a", "q", -0.0), ("b", "p", 2.5),
+            ("b", "q", -0.0), ("c", "p", None), ("c", "q", None)]
+    SPECS = [AggregateSpec(Sum(), "m", "s"), AggregateSpec(Average(), "m", "a")]
+
+    def table(self):
+        return Table([("d", "STRING"), ("e", "STRING"), ("m", "FLOAT")],
+                     self.ROWS)
+
+    @pytest.mark.parametrize("make", DENSE_ROUTES)
+    def test_cache_less_routes(self, make):
+        task = build_task(self.table(), ["d", "e"], self.SPECS, cube_sets(2))
+        got = _cube_reprs(make().compute(task).table)
+        assert got == _from_core(task)
+        assert "('a', ALL, -0.0, 0.0)" in got
+        assert "('c', ALL, None, None)" in got
+
+    @pytest.mark.parametrize("hide_numpy", [False, True])
+    def test_through_the_cache(self, hide_numpy, monkeypatch):
+        from repro.compute.columnar import batch as columnar_batch
+        if hide_numpy:
+            monkeypatch.setattr(columnar_batch, "_numpy", None)
+        masks = cube_sets(2)
+        task = build_task(self.table(), ["d", "e"], self.SPECS, masks)
+        got = _through_the_cache(self.table(), ["d", "e"], self.SPECS,
+                                 masks)
+        assert got == _from_core(task)
+        assert "('a', 'p', -0.0, 0.0)" in got

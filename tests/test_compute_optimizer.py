@@ -66,6 +66,37 @@ class TestChooseAlgorithm:
         assert isinstance(chosen, FromCoreAlgorithm)
 
 
+class TestCoreSizeScan:
+    """Counting the core is a full scan: it runs under a memory budget
+    only, where it decides for or against the external algorithm."""
+
+    def counted(self, table, monkeypatch):
+        task = make(table, [AggregateSpec(Average(), "x", "a")])
+        calls = []
+        original = task.dim_values
+        monkeypatch.setattr(task, "dim_values",
+                            lambda row: calls.append(row) or original(row))
+        return task, calls
+
+    def test_no_budget_no_scan(self, numeric_table, monkeypatch):
+        task, calls = self.counted(numeric_table, monkeypatch)
+        assert isinstance(choose_algorithm(task), FromCoreAlgorithm)
+        assert "from-core" in explain_choice(task)
+        assert calls == []
+
+    def test_budget_scans_and_picks_by_core_size(self, numeric_table,
+                                                 monkeypatch):
+        task, calls = self.counted(numeric_table, monkeypatch)
+        # the core holds 3 cells: a budget of 2 spills, 3 does not
+        assert isinstance(choose_algorithm(task, memory_budget=2),
+                          ExternalCubeAlgorithm)
+        assert len(calls) == len(numeric_table)
+        assert isinstance(choose_algorithm(task, memory_budget=3),
+                          FromCoreAlgorithm)
+        assert "estimated core (3 cells)" in explain_choice(
+            task, memory_budget=2)
+
+
 class TestExplain:
     def test_explanations_name_the_choice(self, numeric_table):
         holistic = make(numeric_table,
