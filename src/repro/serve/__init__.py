@@ -9,9 +9,9 @@ observability meet:
 - :class:`QueryServer` / :class:`QueryClient` -- the threaded TCP
   service and its line-delimited-JSON client
   (:mod:`repro.serve.server`, :mod:`repro.serve.client`);
-- :class:`AsyncQueryServer` -- the asyncio front end: same protocol,
-  admission contract, and durability, one event loop instead of a
-  thread per connection (:mod:`repro.serve.aio`);
+- :class:`AsyncQueryServer` -- the asyncio front end: one event loop
+  accepts the connections, and every request runs through the threaded
+  server's own admission, dispatch and shutdown (:mod:`repro.serve.aio`);
 - ``python -m repro.serve`` -- the CLI entry point (also hosts the CI
   smoke drivers: ``--smoke``, optionally ``--asyncio``).
 
@@ -19,7 +19,7 @@ See ``docs/SERVING.md`` for the protocol, the cache policy, and the
 containment rules.
 """
 
-from repro.serve.aio import AsyncAdmissionController, AsyncQueryServer
+from repro.serve.aio import AsyncQueryServer
 from repro.serve.cache import CacheEntry, CachePolicy, CuboidCache
 from repro.serve.client import QueryClient
 from repro.serve.server import (
@@ -31,7 +31,6 @@ from repro.serve.server import (
 
 __all__ = [
     "AdmissionController",
-    "AsyncAdmissionController",
     "AsyncQueryServer",
     "CacheEntry",
     "CachePolicy",

@@ -2,8 +2,9 @@
 
 Default mode binds a TCP port, loads the demo datasets (the paper's
 Table 3 sales data plus a synthetic fact table), and serves until
-interrupted; ``--asyncio`` swaps the threaded server for the event-loop
-front end (:class:`~repro.serve.aio.AsyncQueryServer`).  ``--smoke`` is
+SIGTERM/SIGINT, then drains and exits 0 (see :mod:`repro.serve.server`);
+``--asyncio`` accepts connections on an event loop instead
+(:class:`~repro.serve.aio.AsyncQueryServer`).  ``--smoke`` is
 the CI driver: it starts an in-process server on an ephemeral port,
 hammers it with concurrent clients running a mixed CUBE/ROLLUP/GROUP BY
 workload, and exits 0 only if every client's every result matched a
@@ -505,12 +506,12 @@ def main(argv: list[str] | None = None) -> int:
     server.start()
     host, port = server.address
     print(f"repro query server on {host}:{port} "
-          f"(tables: {', '.join(server.catalog.names())})")
+          f"(tables: {', '.join(server.catalog.names())})", flush=True)
     if server.store is not None:
         print(f"durable: data dir {args.data_dir}, "
-              f"{server.restored_entries} cuboid(s) restored")
-    print("Ctrl-C to stop.")
-    server.serve_forever()
+              f"{server.restored_entries} cuboid(s) restored", flush=True)
+    print("Ctrl-C or SIGTERM to stop.", flush=True)
+    server.serve_forever()  # drains on SIGTERM/SIGINT
     return 0
 
 

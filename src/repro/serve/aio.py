@@ -1,39 +1,18 @@
-"""The asyncio serving front end: one event loop, many connections.
+"""The asyncio front end: one event loop accepts the connections.
 
 The threaded server (:mod:`repro.serve.server`) spends a thread per
 connection; at hundreds of mostly-idle clients that is all stacks and
-no work.  :class:`AsyncQueryServer` replaces the accept loop and the
-per-connection threads with one event loop -- connections are
-coroutines, so 500+ concurrent clients cost file descriptors, not
-threads -- while **reusing every serving semantic** from the threaded
-server it subclasses:
+no work.  Here each connection is a coroutine -- an idle client costs a
+file descriptor, not a thread -- and every request it reads runs
+``QueryServer._handle`` on an executor thread: the same admission, RW
+lock, query log, trace ids and checkpointing as the threaded server.
 
-- the wire protocol is byte-identical
-  (:func:`repro.serve.protocol.parse_message` /
-  :func:`~repro.serve.protocol.dump_message` frame both front ends);
-- **admission control** keeps the exact shed contract
-  (``max_inflight`` executing, ``max_queue`` waiting, queue-full and
-  deadline sheds hitting the same ``repro_serve_shed_total`` reasons)
-  -- re-implemented on loop-confined state in
-  :class:`AsyncAdmissionController` so waiting costs a Future, not a
-  blocked thread;
-- admitted statements run on a **bounded executor** (``max_inflight``
-  threads) through the inherited ``_execute_locked`` -- the same
-  versioned RW lock, ``ExecutionContext`` deadline/budget, query-log
-  tracking, trace propagation, and post-query ``--data-dir``
-  checkpointing as the threaded path, because it *is* that path;
-- **graceful shutdown** (SIGTERM/SIGINT): stop accepting, drain
-  in-flight and queued statements
-  (``repro_serve_drained_queries_total``), checkpoint the data
-  directory, then release every cluster resource --
-  :func:`repro.cluster.pool.shutdown_pools` and
-  :meth:`repro.cluster.slab.SlabManager.release_all` -- so a drained
-  server leaves no worker processes and no ``/dev/shm`` segments
-  behind (asserted by the shutdown tests).
-
-The one thing deliberately *not* reused is the blocking admission
-slot: an event loop must never block, so the async controller mirrors
-its semantics instead of its implementation.
+The executor has ``max_inflight + max_queue + 1`` threads, so admission,
+not the executor's queue, decides who waits and who is shed: an
+over-limit statement always reaches ``AdmissionController.slot`` and
+sheds ``queue_full`` there.  A waiting statement holds a thread, and
+admission caps how many can.  Shutdown is the threaded server's
+sequence (see :mod:`repro.serve.server`).
 """
 
 from __future__ import annotations
@@ -42,156 +21,33 @@ import asyncio
 import concurrent.futures
 import contextlib
 import signal
-import time
-from typing import AsyncIterator, Optional
+from typing import Optional
 
-from repro.errors import (
-    QueryTimeoutError,
-    ReproError,
-    ServeError,
-    ServerOverloadedError,
-)
-from repro.obs import instrument, querylog
-from repro.obs.querylog import QUERY_LOG
-from repro.resilience.context import ExecutionContext
+from repro.errors import ServeError
+from repro.obs import instrument
 from repro.serve import protocol
 from repro.serve.server import QueryServer
 
-__all__ = ["AsyncAdmissionController", "AsyncQueryServer"]
-
-#: polling step for the shutdown drain (bounds how late the drain
-#: notices the last statement finishing)
-_DRAIN_POLL_S = 0.05
-
-
-class AsyncAdmissionController:
-    """The admission contract on loop-confined state.
-
-    Same knobs and sheds as the threaded
-    :class:`~repro.serve.server.AdmissionController`: at most
-    ``max_inflight`` statements hold slots, at most ``max_queue`` wait,
-    a full queue sheds immediately with
-    :class:`~repro.errors.ServerOverloadedError` and a deadline passing
-    while queued sheds with :class:`~repro.errors.QueryTimeoutError`.
-    All state is touched only from the event loop thread, so no lock is
-    needed -- which is exactly why this exists instead of the threaded
-    controller (whose ``slot`` blocks the calling thread).
-    """
-
-    def __init__(self, max_inflight: int = 4, max_queue: int = 16) -> None:
-        if max_inflight < 1:
-            raise ServeError(
-                f"max_inflight must be >= 1, got {max_inflight}")
-        if max_queue < 0:
-            raise ServeError(f"max_queue must be >= 0, got {max_queue}")
-        self.max_inflight = max_inflight
-        self.max_queue = max_queue
-        self._inflight = 0
-        self._queued = 0
-        self._waiters: "list[asyncio.Future]" = []
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def queued(self) -> int:
-        return self._queued
-
-    @property
-    def busy(self) -> int:
-        """Statements the drain must wait out (executing + queued)."""
-        return self._inflight + self._queued
-
-    def _publish(self) -> None:
-        instrument.set_serve_inflight(self._inflight)
-        instrument.set_serve_queue_depth(self._queued)
-
-    def _release(self) -> None:
-        self._inflight -= 1
-        while self._waiters:
-            waiter = self._waiters.pop(0)
-            if not waiter.done():
-                waiter.set_result(None)
-                break
-        self._publish()
-
-    async def _acquire(self, deadline: Optional[float]) -> None:
-        if self._inflight < self.max_inflight:
-            self._inflight += 1
-            self._publish()
-            return
-        if self._queued >= self.max_queue:
-            instrument.record_serve_shed("queue_full")
-            raise ServerOverloadedError(
-                f"server overloaded: {self._inflight} in flight, "
-                f"{self._queued} queued (max_queue={self.max_queue})")
-        self._queued += 1
-        self._publish()
-        try:
-            while self._inflight >= self.max_inflight:
-                waiter = asyncio.get_running_loop().create_future()
-                self._waiters.append(waiter)
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - time.monotonic()
-                    if timeout <= 0:
-                        instrument.record_serve_shed("deadline")
-                        raise QueryTimeoutError(
-                            "statement deadline passed while queued "
-                            "for admission")
-                try:
-                    await asyncio.wait_for(waiter, timeout=timeout)
-                except asyncio.TimeoutError:
-                    instrument.record_serve_shed("deadline")
-                    raise QueryTimeoutError(
-                        "statement deadline passed while queued "
-                        "for admission") from None
-                finally:
-                    if waiter in self._waiters:
-                        self._waiters.remove(waiter)
-        finally:
-            self._queued -= 1
-        self._inflight += 1
-        self._publish()
-
-    @contextlib.asynccontextmanager
-    async def slot(self, deadline: Optional[float] = None
-                   ) -> AsyncIterator[None]:
-        await self._acquire(deadline)
-        try:
-            yield
-        finally:
-            self._release()
+__all__ = ["AsyncQueryServer"]
 
 
 class AsyncQueryServer(QueryServer):
     """The event-loop front door (see module docstring).
 
-    Construction is identical to :class:`QueryServer` (including
-    ``--data-dir`` restore); only the serving machinery differs.  Use
-    either the async lifecycle (``await start_async()`` ...
-    ``await shutdown_async()``) or the synchronous :meth:`run` wrapper,
-    which owns a loop and installs SIGTERM/SIGINT drain handlers.
+    Construction is identical to :class:`QueryServer`.  Use either the
+    async lifecycle (``await start_async()`` ... ``await
+    shutdown_async()``) or :meth:`run`, which owns a loop and drains on
+    SIGTERM/SIGINT.
     """
 
-    def __init__(self, *args, drain_timeout: float = 30.0,
-                 **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.drain_timeout = drain_timeout
-        # replace the blocking controller with the loop-confined one;
-        # same knobs, same contract, same metrics
-        self.admission = AsyncAdmissionController(
-            max_inflight=self.admission.max_inflight,
-            max_queue=self.admission.max_queue)
         self._aserver: Optional[asyncio.base_events.Server] = None
-        self._writers: "set[asyncio.StreamWriter]" = set()
-        self._handlers: "set[asyncio.Task]" = set()
-        self._stopping = False
-        # bounded: admission guarantees at most max_inflight statements
-        # execute; +1 keeps the checkpoint op off the query threads
+        # live connections: writer -> the coroutine serving it
+        self._clients: "dict[asyncio.StreamWriter, asyncio.Task]" = {}
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.admission.max_inflight + 1,
+            max_workers=(self.admission.max_inflight
+                         + self.admission.max_queue + 1),
             thread_name_prefix="repro-aserve")
 
     # -- lifecycle ---------------------------------------------------------
@@ -211,49 +67,28 @@ class AsyncQueryServer(QueryServer):
         return self
 
     async def shutdown_async(self) -> None:
-        """Graceful drain: stop accepting, finish what was admitted or
-        queued, checkpoint, release cluster resources, stop."""
-        if self._stopping:
+        """Stop accepting, drain the requests already read, close the
+        connections, release resources.  Idempotent."""
+        if not self._stop_serving():
             return
-        self._stopping = True
         if self._aserver is not None:
             self._aserver.close()
-            await self._aserver.wait_closed()
-        draining = self.admission.busy
-        if draining:
-            instrument.record_serve_drain(draining)
-        deadline = time.monotonic() + self.drain_timeout
-        while self.admission.busy and time.monotonic() < deadline:
-            await asyncio.sleep(_DRAIN_POLL_S)
-        for writer in list(self._writers):
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(self._executor, self._drain)
+        for writer in self._clients:
             writer.close()
-        self._writers.clear()
-        instrument.set_async_connections(0)
         # closed transports surface as EOF in each handler's readline;
         # wait for them to exit on their own so no task ends cancelled
-        handlers = [task for task in self._handlers if not task.done()]
-        if handlers:
-            done, pending = await asyncio.wait(handlers, timeout=5.0)
-            for task in pending:  # pragma: no cover - wedged handler
+        if self._clients:
+            _, wedged = await asyncio.wait(list(self._clients.values()),
+                                           timeout=5.0)
+            for task in wedged:  # pragma: no cover - wedged handler
                 task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        if self.store is not None:
-            loop = asyncio.get_running_loop()
-            with contextlib.suppress(ReproError, OSError):
-                await loop.run_in_executor(self._executor, self.checkpoint)
-        # release multi-process resources: worker pools, then any
-        # shared-memory slabs -- a drained server leaves /dev/shm clean
-        from repro.cluster import MANAGER, shutdown_pools
-        shutdown_pools()
-        MANAGER.release_all()
+        await loop.run_in_executor(self._executor, self._close_down)
         self._executor.shutdown(wait=True)
-        if self.store is not None:
-            with contextlib.suppress(OSError):
-                self.store.close()
 
     async def serve_forever_async(self) -> None:
-        """Serve until SIGTERM/SIGINT, then drain gracefully."""
+        """Serve until SIGTERM/SIGINT, then shut down gracefully."""
         if self._aserver is None:
             await self.start_async()
         stop = asyncio.Event()
@@ -296,51 +131,43 @@ class AsyncQueryServer(QueryServer):
 
     async def _client_connected(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        if self._stopping:
-            writer.close()
-            return
         instrument.record_serve_connection()
         instrument.record_serve_async_connection()
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._writers.add(writer)
-        instrument.set_async_connections(len(self._writers))
+        self._clients[writer] = asyncio.current_task()
+        instrument.set_async_connections(len(self._clients))
         session = self._make_session()
+        loop = asyncio.get_running_loop()
         try:
-            while not self._stopping:
+            while not self._stop.is_set():
                 try:
                     line = await reader.readline()
                 except (ValueError, asyncio.LimitOverrunError):
-                    await self._send(writer, {
-                        "id": None, "ok": False,
-                        "error": {"type": "ServeError",
-                                  "message": "wire message too long"}})
+                    await self._send(writer, self._error(
+                        None, ServeError("wire message too long")))
                     break
                 except (ConnectionError, OSError):
                     break
                 try:
                     request = protocol.parse_message(line)
                 except ServeError as error:
-                    await self._send(writer, {
-                        "id": None, "ok": False,
-                        "error": {"type": "ServeError",
-                                  "message": str(error)}})
+                    await self._send(writer, self._error(None, error))
                     continue
-                if request is None:
-                    break
-                response = await self._handle_async(session, request)
-                if response is None:  # close op
+                if request is None or not self._begin_request():
                     break
                 try:
-                    await self._send(writer, response)
-                except (ConnectionError, OSError):
-                    break
+                    response = await loop.run_in_executor(
+                        self._executor, self._handle, session, request)
+                    if response is None:  # close op
+                        break
+                    try:
+                        await self._send(writer, response)
+                    except (ConnectionError, OSError):
+                        break
+                finally:
+                    self._end_request()
         finally:
-            if task is not None:
-                self._handlers.discard(task)
-            self._writers.discard(writer)
-            instrument.set_async_connections(len(self._writers))
+            self._clients.pop(writer, None)
+            instrument.set_async_connections(len(self._clients))
             writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
@@ -349,126 +176,3 @@ class AsyncQueryServer(QueryServer):
     async def _send(writer: asyncio.StreamWriter, message: dict) -> None:
         writer.write(protocol.dump_message(message))
         await writer.drain()
-
-    # -- request dispatch --------------------------------------------------
-
-    async def _handle_async(self, session, request: dict
-                            ) -> Optional[dict]:
-        op = request.get("op", "query")
-        if op == "query":
-            request_id = request.get("id")
-            instrument.record_serve_request(op)
-            sql = request.get("sql")
-            if not isinstance(sql, str) or not sql.strip():
-                return self._error(request_id, ServeError(
-                    "query op needs a non-empty 'sql' string"))
-            from repro.obs import trace
-            trace_id = (self._valid_trace(request.get("trace"))
-                        or trace.new_trace_id())
-            return await self._run_query_async(session, request_id, sql,
-                                               trace_id)
-        if op == "ingest":
-            # takes the exclusive lock: keep it off the event loop
-            instrument.record_serve_request(op)
-            return await self._run_ingest_async(request.get("id"),
-                                                request)
-        if op == "checkpoint":
-            # page I/O: keep it off the event loop
-            instrument.record_serve_request(op)
-            request_id = request.get("id")
-            if self.store is None:
-                return self._error(request_id, ServeError(
-                    "server has no data directory; start it with "
-                    "--data-dir to enable checkpoints"))
-            loop = asyncio.get_running_loop()
-            try:
-                await loop.run_in_executor(self._executor, self.checkpoint)
-            except ReproError as error:
-                return self._error(request_id, error)
-            return {"id": request_id, "ok": True,
-                    "storage": self.store.stats()}
-        # ping / stats / log / close / unknown: cheap, loop-side, and
-        # semantically identical to the threaded server
-        return self._handle(session, request)
-
-    async def _run_query_async(self, session, request_id, sql: str,
-                               trace_id: str) -> dict:
-        started = time.perf_counter()
-        ctx = ExecutionContext(timeout=self.statement_timeout,
-                               memory_budget=self.memory_budget)
-        loop = asyncio.get_running_loop()
-        try:
-            async with self.admission.slot(deadline=ctx.deadline):
-                wait_ms = round((time.perf_counter() - started) * 1000.0,
-                                3)
-                return await loop.run_in_executor(
-                    self._executor, self._finish_query, session,
-                    request_id, sql, trace_id, ctx, started, wait_ms)
-        except ReproError as error:
-            # shed before admission: log it exactly as the threaded
-            # server does (no awaits inside the tracked scope -- the
-            # loop thread's pending-record stack must not interleave)
-            self._log_shed(sql, trace_id, started, error)
-            response = self._error(request_id, error)
-            response["trace"] = trace_id
-            return response
-
-    async def _run_ingest_async(self, request_id, request: dict) -> dict:
-        """Async ingest: loop-side admission, executor-side tail (the
-        inherited ``_finish_ingest`` -- write lock + submit/flush)."""
-        started = time.perf_counter()
-        table = request.get("table")
-        if not isinstance(table, str) or not table.strip():
-            return self._error(request_id, ServeError(
-                "ingest op needs a non-empty 'table' string"))
-        from repro.obs import trace
-        trace_id = (self._valid_trace(request.get("trace"))
-                    or trace.new_trace_id())
-        ctx = ExecutionContext(timeout=self.statement_timeout,
-                               memory_budget=self.memory_budget)
-        loop = asyncio.get_running_loop()
-        try:
-            async with self.admission.slot(deadline=ctx.deadline):
-                wait_ms = round(
-                    (time.perf_counter() - started) * 1000.0, 3)
-                return await loop.run_in_executor(
-                    self._executor, self._finish_ingest, request_id,
-                    request, table, trace_id, started, wait_ms)
-        except ReproError as error:
-            self._log_shed(f"INGEST {table.upper()}", trace_id, started,
-                           error)
-            response = self._error(request_id, error)
-            response["trace"] = trace_id
-            return response
-
-    def _finish_query(self, session, request_id, sql: str, trace_id: str,
-                      ctx: ExecutionContext, started: float,
-                      wait_ms: float) -> dict:
-        """Executor-side tail of an admitted statement: the inherited
-        lock + execute + query log + checkpoint pipeline."""
-        try:
-            with QUERY_LOG.track(statement=sql, trace_id=trace_id):
-                querylog.annotate(admission_wait_ms=wait_ms)
-                result = self._execute_locked(session, sql, ctx)
-        except ReproError as error:
-            response = self._error(request_id, error)
-            response["trace"] = trace_id
-            return response
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        payload = protocol.encode_table(result)
-        self._maybe_checkpoint()
-        return {"id": request_id, "ok": True,
-                "columns": payload["columns"], "rows": payload["rows"],
-                "elapsed_ms": round(elapsed_ms, 3),
-                "trace": trace_id}
-
-    @staticmethod
-    def _log_shed(sql: str, trace_id: str, started: float,
-                  error: ReproError) -> None:
-        try:
-            with QUERY_LOG.track(statement=sql, trace_id=trace_id):
-                querylog.annotate(admission_wait_ms=round(
-                    (time.perf_counter() - started) * 1000.0, 3))
-                raise error
-        except ReproError:
-            pass

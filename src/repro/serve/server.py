@@ -26,11 +26,19 @@ Per-connection resilience: every query statement runs under a fresh
 ``memory_budget``, so one slow or hungry client degrades or times out
 alone.  Contexts are thread-local (see :mod:`repro.resilience.context`),
 which is what makes concurrent sessions safe at all.
+
+This class is the one serving core; the asyncio front end
+(:mod:`repro.serve.aio`) only accepts connections and runs each request
+through :meth:`QueryServer._handle` on a thread.  Both shut down alike
+(here on SIGTERM/SIGINT under :meth:`QueryServer.serve_forever`): stop
+accepting, drain every request already read, close the connections,
+then flush ingest, checkpoint, and release pools, slabs and the store.
 """
 
 from __future__ import annotations
 
 import contextlib
+import signal
 import socket
 import threading
 import time
@@ -53,6 +61,9 @@ from repro.serve.cache import CuboidCache
 from repro.sql.executor import SQLSession
 
 __all__ = ["AdmissionController", "QueryServer", "VersionedRWLock"]
+
+#: how long a shutdown waits for the requests already read to finish
+_DRAIN_TIMEOUT_S = 30.0
 
 
 class VersionedRWLock:
@@ -241,6 +252,9 @@ class QueryServer:
         self._threads: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
+        # requests read and not yet answered: the drain waits for zero
+        self._requests = 0
+        self._idle = threading.Condition(self._conn_lock)
         self._stop = threading.Event()
         self._started = False
         self.store = None
@@ -259,7 +273,8 @@ class QueryServer:
 
     @contextlib.contextmanager
     def _conn_locked(self) -> Iterator[None]:
-        """``_conn_lock`` with lock-order sanitizer bookkeeping."""
+        """``_conn_lock`` (the connection set and the request count)
+        with lock-order sanitizer bookkeeping."""
         with self._conn_lock:
             locktrack.note_acquire("serve.connections")
             try:
@@ -292,50 +307,104 @@ class QueryServer:
         return self
 
     def serve_forever(self) -> None:
+        """Serve until SIGTERM/SIGINT (or a :meth:`shutdown` from
+        another thread), then shut down gracefully."""
         if not self._started:
             self.start()
+        signalled: list[int] = []
+        previous = {}
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            with contextlib.suppress(ValueError):  # main thread only
+                previous[signum] = signal.signal(
+                    signum, lambda signum, _frame: signalled.append(signum))
         try:
-            while not self._stop.is_set():
+            while not signalled and not self._stop.is_set():
                 time.sleep(0.2)
-        except KeyboardInterrupt:
-            pass
         finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop accepting, close live connections, join all threads."""
-        self._stop.set()
+        """Stop accepting, drain the requests already read, close the
+        connections, release resources (:meth:`_close_down`).
+        Idempotent."""
+        if not self._stop_serving():
+            return
+        if self._threads:
+            self._threads[0].join(timeout=5.0)  # the acceptor polls _stop
+        if self._listener is not None:
+            with contextlib.suppress(OSError):
+                self._listener.close()
+        self._drain()
         with self._conn_locked():
             connections = list(self._connections)
         for conn in connections:
-            try:
+            with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with contextlib.suppress(ReproError):
-            self.ingestor.flush()  # buffered ops must not die with us
-        if self.store is not None:
-            with contextlib.suppress(ReproError, OSError):
-                self.checkpoint()
-            with contextlib.suppress(OSError):
-                self.store.close()
+        self._close_down()
 
     def __enter__(self) -> "QueryServer":
         return self.start() if not self._started else self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+    # -- the shutdown sequence both front ends share -------------------------
+
+    def _stop_serving(self) -> bool:
+        """Begin shutdown (``False`` if it already began): from here on
+        :meth:`_begin_request` refuses."""
+        with self._conn_locked():
+            if self._stop.is_set():
+                return False
+            self._stop.set()
+            return True
+
+    def _begin_request(self) -> bool:
+        """Count a request the moment it is read, so the drain waits
+        for it; ``False`` -- drop it and close -- once stopping."""
+        with self._conn_locked():
+            if self._stop.is_set():
+                return False
+            self._requests += 1
+            return True
+
+    def _end_request(self) -> None:
+        """The counted request was answered (or its connection died)."""
+        with self._conn_locked():
+            self._requests -= 1
+            if not self._requests:
+                self._idle.notify_all()
+
+    def _drain(self) -> None:
+        """Wait (at most ``_DRAIN_TIMEOUT_S``) until every counted
+        request has been answered."""
+        with self._conn_locked():
+            draining = self._requests
+            self._idle.wait_for(lambda: not self._requests,
+                                timeout=_DRAIN_TIMEOUT_S)
+        if draining:
+            instrument.record_serve_drain(draining)
+
+    def _close_down(self) -> None:
+        """After the drain: flush buffered ingest, checkpoint, leave no
+        worker processes and no ``/dev/shm`` slabs, close the store."""
+        with contextlib.suppress(ReproError):
+            self.ingestor.flush()
+        if self.store is not None:
+            with contextlib.suppress(ReproError, OSError):
+                self.checkpoint()
+        from repro.cluster import MANAGER, shutdown_pools
+        shutdown_pools()
+        MANAGER.release_all()
+        if self.store is not None:
+            with contextlib.suppress(OSError):
+                self.store.close()
 
     # -- connection handling -----------------------------------------------
 
@@ -371,33 +440,29 @@ class QueryServer:
                 try:
                     request = protocol.read_message(stream)
                 except ServeError as error:
-                    protocol.write_message(stream, {
-                        "id": None, "ok": False,
-                        "error": {"type": "ServeError",
-                                  "message": str(error)}})
+                    protocol.write_message(stream, self._error(None, error))
                     continue
                 except OSError:
                     break
-                if request is None:
-                    break
-                response = self._handle(session, request)
-                if response is None:  # close op
+                if request is None or not self._begin_request():
                     break
                 try:
-                    protocol.write_message(stream, response)
-                except OSError:
-                    break
+                    response = self._handle(session, request)
+                    if response is None:  # close op
+                        break
+                    try:
+                        protocol.write_message(stream, response)
+                    except OSError:
+                        break
+                finally:
+                    self._end_request()
         finally:
             with self._conn_locked():
                 self._connections.discard(conn)
-            try:
+            with contextlib.suppress(OSError):
                 stream.close()
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
 
     # -- request dispatch ----------------------------------------------------
 
@@ -503,12 +568,10 @@ class QueryServer:
                                memory_budget=self.memory_budget)
         try:
             with QUERY_LOG.track(statement=sql, trace_id=trace_id):
-                result = self._execute_admitted(session, sql, ctx,
-                                                started)
+                with self._admitted(ctx):
+                    result = self._execute_locked(session, sql, ctx)
         except ReproError as error:
-            response = self._error(request_id, error)
-            response["trace"] = trace_id
-            return response
+            return self._error(request_id, error, trace_id)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         payload = protocol.encode_table(result)
         self._maybe_checkpoint()
@@ -522,8 +585,7 @@ class QueryServer:
         """Decode an ingest request's row payloads.
 
         ``inserts`` and ``deletes`` are lists of rows; ``updates`` is a
-        list of ``[old_row, new_row]`` pairs.  Shared with the asyncio
-        front end."""
+        list of ``[old_row, new_row]`` pairs."""
         inserts = protocol.decode_rows(request.get("inserts", []))
         deletes = protocol.decode_rows(request.get("deletes", []))
         payload = request.get("updates", [])
@@ -549,47 +611,28 @@ class QueryServer:
         if not isinstance(table, str) or not table.strip():
             return self._error(request_id, ServeError(
                 "ingest op needs a non-empty 'table' string"))
-        trace_id = (self._valid_trace(request.get("trace"))
-                    or trace.new_trace_id())
-        ctx = ExecutionContext(timeout=self.statement_timeout,
-                               memory_budget=self.memory_budget)
-        try:
-            with self.admission.slot(deadline=ctx.deadline):
-                wait_ms = round(
-                    (time.perf_counter() - started) * 1000.0, 3)
-                return self._finish_ingest(request_id, request, table,
-                                           trace_id, started, wait_ms)
-        except ReproError as error:
-            response = self._error(request_id, error)
-            response["trace"] = trace_id
-            return response
-
-    def _finish_ingest(self, request_id, request: dict, table: str,
-                       trace_id: str, started: float,
-                       wait_ms: float) -> dict:
-        """Admitted tail of the ingest op; the asyncio front end calls
-        this from an executor thread after its own admission."""
         force_flush = request.get("flush", False)
         if not isinstance(force_flush, bool):
             return self._error(request_id, ServeError(
                 "ingest op 'flush' must be a boolean"))
+        trace_id = (self._valid_trace(request.get("trace"))
+                    or trace.new_trace_id())
+        ctx = ExecutionContext(timeout=self.statement_timeout,
+                               memory_budget=self.memory_budget)
         try:
             inserts, deletes, updates = self.parse_ingest(request)
             n_ops = len(inserts) + len(deletes) + len(updates)
             statement = f"INGEST {table.upper()} ({n_ops} ops)"
             with QUERY_LOG.track("ingest", statement=statement,
                                  trace_id=trace_id):
-                querylog.annotate(admission_wait_ms=wait_ms)
-                with self.lock.write():
+                with self._admitted(ctx), self.lock.write():
                     outcome = self.ingestor.submit(
                         table, inserts=inserts, deletes=deletes,
                         updates=updates)
                     if force_flush and outcome["flushed"] is None:
                         outcome["flushed"] = self.ingestor.flush(table)
         except ReproError as error:
-            response = self._error(request_id, error)
-            response["trace"] = trace_id
-            return response
+            return self._error(request_id, error, trace_id)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._maybe_checkpoint()
         return {"id": request_id, "ok": True, "table": table.upper(),
@@ -599,29 +642,25 @@ class QueryServer:
                 "elapsed_ms": round(elapsed_ms, 3),
                 "trace": trace_id}
 
-    def _execute_admitted(self, session: SQLSession, sql: str,
-                          ctx: ExecutionContext, started: float):
-        """Admission + lock + execute, annotating the admission wait
-        (on sheds too: a record whose whole life was the queue should
-        say so)."""
-        admitted = False
-        try:
-            with self.admission.slot(deadline=ctx.deadline):
-                admitted = True
+    @contextlib.contextmanager
+    def _admitted(self, ctx: ExecutionContext) -> Iterator[None]:
+        """An admission slot under ``ctx``'s deadline, annotating the
+        wait on the current query-log record -- on sheds too: a record
+        whose whole life was the queue should say so."""
+        queued = time.perf_counter()
+        with contextlib.ExitStack() as stack:
+            try:
+                stack.enter_context(
+                    self.admission.slot(deadline=ctx.deadline))
+            finally:
                 querylog.annotate(admission_wait_ms=round(
-                    (time.perf_counter() - started) * 1000.0, 3))
-                return self._execute_locked(session, sql, ctx)
-        except (ServerOverloadedError, QueryTimeoutError):
-            if not admitted:
-                querylog.annotate(admission_wait_ms=round(
-                    (time.perf_counter() - started) * 1000.0, 3))
-            raise
+                    (time.perf_counter() - queued) * 1000.0, 3))
+            yield
 
     def _execute_locked(self, session: SQLSession, sql: str,
                         ctx: ExecutionContext):
-        """The admitted core every front end shares: classify, take the
-        versioned RW lock, execute.  The asyncio server calls this from
-        an executor thread after its own (async) admission."""
+        """The admitted core: classify, take the versioned RW lock,
+        execute."""
         if self.ingestor.pending_ops():
             # read-your-writes: a query never observes the catalog
             # behind a buffered ingest batch -- flush first, under the
@@ -667,7 +706,11 @@ class QueryServer:
             self._checkpoint_lock.release()
 
     @staticmethod
-    def _error(request_id, error: Exception) -> dict:
-        return {"id": request_id, "ok": False,
-                "error": {"type": type(error).__name__,
-                          "message": str(error)}}
+    def _error(request_id, error: Exception,
+               trace_id: Optional[str] = None) -> dict:
+        response = {"id": request_id, "ok": False,
+                    "error": {"type": type(error).__name__,
+                              "message": str(error)}}
+        if trace_id is not None:
+            response["trace"] = trace_id
+        return response

@@ -1,7 +1,7 @@
-"""Graceful shutdown leaves nothing behind: a SIGTERM'd asyncio server
-must drain its queries, checkpoint its ``--data-dir``, exit 0, and
-release every shared-memory segment -- ``/dev/shm`` ends exactly as
-clean as it started."""
+"""Graceful shutdown leaves nothing behind: a SIGTERM'd server -- either
+front end -- must drain its queries, flush buffered ingest, checkpoint
+its ``--data-dir``, exit 0, and release every shared-memory segment --
+``/dev/shm`` ends exactly as clean as it started."""
 
 import glob
 import os
@@ -25,15 +25,15 @@ def _slab_files(pid=None):
     return glob.glob(pattern)
 
 
-def _spawn_server(data_dir):
+def _spawn_server(data_dir, flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--asyncio", "--port", "0",
+        [sys.executable, "-m", "repro.serve", *flags, "--port", "0",
          "--data-dir", data_dir],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env)
-    # the durable preamble ("durable: data dir ...") precedes the banner
+    # the asyncio server prints its durable line before the banner
     for _ in range(5):
         banner = process.stdout.readline()
         match = re.search(r"on ([\d.]+):(\d+)", banner)
@@ -42,16 +42,21 @@ def _spawn_server(data_dir):
     else:
         process.kill()
         raise AssertionError(f"no banner: {banner!r}")
-    assert "asyncio" in banner
+    assert ("asyncio" in banner) == ("--asyncio" in flags)
     return process, (match.group(1), int(match.group(2)))
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
                     reason="needs a POSIX shared-memory mount to observe")
 class TestSigtermDrain:
+    """``python -m repro.serve --asyncio``; the subclass below runs the
+    same contract against the default (threaded) front end."""
+
+    FLAGS: tuple = ("--asyncio",)
+
     def test_sigterm_drains_checkpoints_and_leaves_no_shm(self, tmp_path):
         data_dir = str(tmp_path / "serve-data")
-        process, address = _spawn_server(data_dir)
+        process, address = _spawn_server(data_dir, self.FLAGS)
         try:
             with QueryClient(*address, timeout=30.0) as client:
                 assert client.ping()
@@ -69,7 +74,7 @@ class TestSigtermDrain:
         assert _slab_files(process.pid) == []
         # ... and the checkpoint made the data directory warm: a
         # restart on the same directory restores cuboid entries
-        restart, address = _spawn_server(data_dir)
+        restart, address = _spawn_server(data_dir, self.FLAGS)
         try:
             with QueryClient(*address, timeout=30.0) as client:
                 client.execute("SELECT d0, d1, SUM(m) FROM FACTS "
@@ -88,7 +93,8 @@ class TestSigtermDrain:
         """Queries in flight when the signal lands are drained, not
         dropped: the server answers them, then exits 0."""
         import threading
-        process, address = _spawn_server(str(tmp_path / "busy-data"))
+        process, address = _spawn_server(str(tmp_path / "busy-data"),
+                                         self.FLAGS)
         answered = []
 
         def hammer():
@@ -118,6 +124,10 @@ class TestSigtermDrain:
         assert _slab_files(process.pid) == []
 
 
+class TestSigtermDrainDefaultFrontEnd(TestSigtermDrain):
+    FLAGS = ()
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
                     reason="needs a POSIX shared-memory mount to observe")
 def test_in_process_drain_sweeps_slabs_and_pools():
@@ -145,3 +155,39 @@ def test_in_process_drain_sweeps_slabs_and_pools():
     assert MANAGER.active() == 0
     assert not _POOLS
     assert not os.path.exists(f"/dev/shm/{name}")
+
+
+@pytest.mark.parametrize("front_end", ["threaded", "asyncio"])
+def test_buffered_ingest_survives_shutdown(front_end):
+    """An ingest buffered without ``flush`` is applied by the shutdown
+    of either front end, not lost with the process."""
+    import asyncio
+
+    from repro.data import SyntheticSpec, synthetic_table
+    from repro.engine.catalog import Catalog
+    from repro.serve import AsyncQueryServer, QueryServer
+
+    catalog = Catalog()
+    catalog.register("FACTS", synthetic_table(SyntheticSpec(
+        cardinalities=(4, 3, 2), n_rows=50, seed=9)))
+    row = ("zz", "zz", "zz", 7)
+    if front_end == "threaded":
+        server = QueryServer(catalog, ingest_max_age_s=1e9)
+        with server:
+            _buffer_one_insert(server.address, row)
+    else:
+        server = AsyncQueryServer(catalog, ingest_max_age_s=1e9)
+
+        async def scenario():
+            await server.start_async()
+            await asyncio.to_thread(_buffer_one_insert, server.address, row)
+            await server.shutdown_async()
+
+        asyncio.run(scenario())
+    assert server.ingestor.pending_ops() == 0
+    assert row in catalog.get("FACTS").rows
+
+
+def _buffer_one_insert(address, row):
+    with QueryClient(*address) as client:
+        assert client.ingest("FACTS", inserts=[row])["pending"] == 1

@@ -1,22 +1,17 @@
-"""The asyncio serving front end: admission semantics on the event
-loop, wire compatibility with the threaded server, query execution
-through the shared admitted core, and the graceful drain contract."""
+"""The asyncio serving front end: wire compatibility with the threaded
+server, every request through the shared serving core (its admission,
+shedding and query log included), and the graceful drain contract."""
 
 import asyncio
 import json
-import time
 
 import pytest
 
 from repro.data import SyntheticSpec, synthetic_table
 from repro.engine.catalog import Catalog
-from repro.errors import (
-    QueryTimeoutError,
-    ServeError,
-    ServerOverloadedError,
-)
-from repro.serve import AsyncAdmissionController, AsyncQueryServer
-from repro.serve.aio import _DRAIN_POLL_S  # noqa: F401 -- sanity import
+from repro.errors import ServeError
+from repro.obs.querylog import QUERY_LOG
+from repro.serve import AsyncQueryServer
 from repro.sql.executor import SQLSession
 
 
@@ -40,78 +35,6 @@ async def _call(reader, writer, message):
     await writer.drain()
     line = await asyncio.wait_for(reader.readline(), timeout=30.0)
     return json.loads(line)
-
-
-class TestAsyncAdmissionController:
-    def test_rejects_bad_limits(self):
-        with pytest.raises(ServeError):
-            AsyncAdmissionController(max_inflight=0)
-        with pytest.raises(ServeError):
-            AsyncAdmissionController(max_inflight=1, max_queue=-1)
-
-    def test_queue_full_sheds(self):
-        async def scenario():
-            controller = AsyncAdmissionController(max_inflight=1,
-                                                  max_queue=0)
-            async with controller.slot():
-                with pytest.raises(ServerOverloadedError):
-                    async with controller.slot():
-                        pass
-            async with controller.slot():  # freed after release
-                pass
-            assert controller.busy == 0
-
-        run(scenario())
-
-    def test_deadline_shed_while_queued(self):
-        async def scenario():
-            controller = AsyncAdmissionController(max_inflight=1,
-                                                  max_queue=4)
-            release = asyncio.Event()
-
-            async def holder():
-                async with controller.slot():
-                    await release.wait()
-
-            task = asyncio.create_task(holder())
-            await asyncio.sleep(0)  # let the holder take the slot
-            assert controller.inflight == 1
-            with pytest.raises(QueryTimeoutError):
-                async with controller.slot(
-                        deadline=time.monotonic() + 0.05):
-                    pass
-            release.set()
-            await task
-            assert controller.inflight == 0
-            assert controller.queued == 0
-
-        run(scenario())
-
-    def test_waiters_admit_in_fifo_order(self):
-        async def scenario():
-            controller = AsyncAdmissionController(max_inflight=1,
-                                                  max_queue=8)
-            order = []
-            release = asyncio.Event()
-
-            async def holder():
-                async with controller.slot():
-                    await release.wait()
-
-            async def waiter(tag):
-                async with controller.slot():
-                    order.append(tag)
-
-            holding = asyncio.create_task(holder())
-            await asyncio.sleep(0)
-            waiters = [asyncio.create_task(waiter(i)) for i in range(3)]
-            await asyncio.sleep(0.05)
-            assert controller.queued == 3
-            release.set()
-            await asyncio.gather(holding, *waiters)
-            assert order == [0, 1, 2]
-
-        run(scenario())
 
 
 class TestAsyncServerEndToEnd:
@@ -257,6 +180,48 @@ class TestAsyncServerEndToEnd:
             server.start()
         with pytest.raises(ServeError, match="shutdown_async"):
             server.shutdown()
+
+    def test_over_limit_query_sheds_with_trace_and_log_record(self):
+        """The shared admission sheds an async statement exactly as it
+        does a threaded one: a traced ServerOverloadedError answer and
+        a ``shed`` record in the query log."""
+        sql = "SELECT d0, SUM(m) FROM FACTS GROUP BY d0"
+
+        async def scenario():
+            server = AsyncQueryServer(make_catalog(), max_inflight=1,
+                                      max_queue=0)
+
+            async def first_admitted():
+                while server.admission.inflight < 1:
+                    await asyncio.sleep(0.01)
+
+            await server.start_async()
+            try:
+                first = await asyncio.open_connection(*server.address)
+                second = await asyncio.open_connection(*server.address)
+                with server.lock.write():
+                    # admitted, then parked on the RW lock this test holds
+                    blocked = asyncio.create_task(_call(
+                        *first, {"id": 1, "op": "query", "sql": sql}))
+                    await asyncio.wait_for(first_admitted(), timeout=10.0)
+                    shed = await _call(
+                        *second, {"id": 2, "op": "query", "sql": sql})
+                answered = await blocked
+                for _, writer in (first, second):
+                    writer.close()
+                return shed, answered
+            finally:
+                await server.shutdown_async()
+
+        shed, answered = run(scenario())
+        assert answered["ok"], answered
+        assert not shed["ok"]
+        assert shed["error"]["type"] == "ServerOverloadedError"
+        assert shed["trace"]
+        records = [record for record in QUERY_LOG.snapshot(outcome="shed")
+                   if record.trace_id == shed["trace"]]
+        assert len(records) == 1
+        assert records[0].statement == sql
 
 
 class TestGracefulDrain:
