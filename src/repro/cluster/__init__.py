@@ -1,16 +1,15 @@
-"""Multi-process sharded execution (§5 scatter/gather across cores).
+"""Multi-process execution (§5 partition-then-combine across cores).
 
 The cluster subsystem escapes the GIL: dictionary-encoded column
 batches ship to a persistent worker-process pool through
 ``multiprocessing.shared_memory`` slabs with zero pickling
-(:mod:`repro.cluster.slab`), workers compute per-partition core
-aggregates with mergeable scratchpads (:mod:`repro.cluster.pool`), and
-the parent combines them through the existing
-``fold_super_aggregates`` walk bit-identically to the row and columnar
-backends (:mod:`repro.cluster.algorithm`, ``algorithm="cluster"``).
-:class:`~repro.cluster.sharded.ShardedCube` applies the same
-scatter/gather shape to *maintained* cubes, sharding a base table by a
-chosen dimension.  See docs/CLUSTER.md.
+(:mod:`repro.cluster.slab`), and workers compute each contiguous
+partition's core GROUP BY with mergeable scratchpads
+(:mod:`repro.cluster.pool`).  :mod:`repro.cluster.algorithm`
+(``algorithm="cluster"``) is the process runner of the one
+partition-then-combine engine in :mod:`repro.compute.parallel`, which
+merges the partition cores and folds the super-aggregates exactly as
+the thread runner does.  See docs/CLUSTER.md.
 """
 
 from repro.cluster.algorithm import ClusterCubeAlgorithm
@@ -20,14 +19,12 @@ from repro.cluster.pool import (
     get_pool,
     shutdown_pools,
 )
-from repro.cluster.sharded import ShardedCube
 from repro.cluster.slab import MANAGER, SlabManager, attach_slab, encode_batch
 
 __all__ = [
     "MANAGER",
     "ClusterCubeAlgorithm",
     "ClusterPool",
-    "ShardedCube",
     "SlabManager",
     "attach_slab",
     "default_workers",

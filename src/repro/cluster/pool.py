@@ -54,8 +54,10 @@ import threading
 import time
 from multiprocessing.connection import wait as _wait_connections
 
-from repro.compute.columnar.batch import BATCH_ROWS, numpy_backend
+from repro.compute.columnar.batch import numpy_backend
+from repro.compute.columnar.core import first_seen_ids, flat_offsets
 from repro.compute.columnar.kernels import make_state
+from repro.compute.parallel import FailedPartition
 from repro.errors import (ClusterError, QueryCancelledError,
                           QueryTimeoutError, WorkerLostError)
 from repro.resilience.retry import RetryPolicy
@@ -81,14 +83,6 @@ def default_workers() -> int:
     return n if n >= 1 else 2
 
 
-class FailedPartition:
-    """Sentinel for a partition whose worker exhausted its retries."""
-
-    def __init__(self, index: int, error: BaseException) -> None:
-        self.index = index
-        self.error = error
-
-
 # -- worker side --------------------------------------------------------------
 
 
@@ -97,14 +91,12 @@ def run_partition_spec(spec: dict, *, force_python: bool,
     """Compute one partition's core-GROUP-BY from a slab row slice.
 
     This is the §5 per-partition aggregation: group the slice's rows by
-    the lattice-core dimension codes (first-seen order, so the parent's
-    partition-order combine reproduces the global first-seen order) and
-    scatter each aggregate through its columnar kernel.  Returns only
-    primitives -- ``(code-tuple, handle-list)`` pairs, each group's
-    first row as a task row index, and counters -- so the result
-    pickles trivially and the parent's
-    ``fold_super_aggregates`` walk stays bit-identical to the
-    single-process columnar sparse route.
+    the lattice-core dimension codes (first-seen order, with the
+    columnar core builder's own helpers, so the engine's partition-order
+    merge reproduces the global first-seen order) and scatter each
+    aggregate through its columnar kernel.  Returns only primitives --
+    ``(code-tuple, handle-list)`` pairs, each group's first row as a
+    task row index, and counters -- so the result pickles trivially.
 
     Runs identically in a worker process and in the parent (serial
     recovery calls it directly with chaos stripped from the spec).
@@ -120,35 +112,13 @@ def run_partition_spec(spec: dict, *, force_python: bool,
     check("cluster partition attach")
     slab = attach_slab(spec["slab"], spec["start"], spec["end"])
     xp = numpy_backend(force_python)
-    n = slab.n_rows
 
     core_dims = spec["core_dims"]
-    strides = spec["core_strides"]
-    flat = [0] * n
-    for d, stride in zip(core_dims, strides):
-        codes = slab.dims[d].codes
-        if stride == 1:
-            for i, code in enumerate(codes):
-                flat[i] += code
-        else:
-            for i, code in enumerate(codes):
-                flat[i] += code * stride
+    strides = dict(zip(core_dims, spec["core_strides"]))
+    slots, representatives = first_seen_ids(
+        flat_offsets(slab, core_dims, strides, xp), xp, check)
+    n_groups = len(representatives)
 
-    group_of: dict[int, int] = {}
-    gids = [0] * n
-    representatives: list[int] = []
-    for start in range(0, n, BATCH_ROWS):
-        check("cluster group scan")
-        for i in range(start, min(start + BATCH_ROWS, n)):
-            key = flat[i]
-            gid = group_of.get(key)
-            if gid is None:
-                gid = group_of[key] = len(group_of)
-                representatives.append(i)
-            gids[i] = gid
-    n_groups = len(group_of)
-
-    slots = xp.asarray(gids, dtype=xp.int64) if xp is not None else gids
     iter_calls = 0
     states = []
     for kernel_name, agg_index in spec["kernels"]:

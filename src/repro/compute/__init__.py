@@ -23,8 +23,9 @@ can be verified exactly:
 - :class:`ExternalCubeAlgorithm` -- memory-bounded hybrid-hash
   partitioning: partition the input, cube each partition's core, merge;
   super-aggregates stay in memory as the paper observes they fit.
-- :class:`ParallelCubeAlgorithm` -- partition-parallel local cubes
-  combined with Iter_super, the parallel-database pattern of Section 5.
+- :class:`ParallelCubeAlgorithm` -- partition-parallel core GROUP BYs
+  merged with Iter_super, the parallel-database pattern of Section 5
+  (the thread runner of the engine the cluster backend shares).
 - :class:`ColumnarCubeAlgorithm` -- vectorized columnar backend: typed
   column batches, dictionary-encoded dimensions, fused grouped kernels
   (numpy when available, pure python otherwise); holistic functions

@@ -332,6 +332,16 @@ class CubeAlgorithm(ABC):
     def _compute(self, task: CubeTask) -> CubeResult:
         """The strategy body; called by :meth:`compute` under a span."""
 
+    def _require_mergeable(self, task: CubeTask, why: str = "") -> None:
+        """Refuse a task whose strict-mode holistic aggregates have no
+        ``Iter_super`` -- every algorithm that merges scratchpads."""
+        if not task.all_mergeable():
+            from repro.errors import NotMergeableError
+            bad = [fn.name for fn in task.functions if not fn.mergeable]
+            raise NotMergeableError(
+                f"{self.name} needs mergeable scratchpads; {bad} are "
+                f"holistic in strict mode{why}")
+
     def _new_stats(self) -> ComputeStats:
         return ComputeStats(algorithm=self.name or type(self).__name__)
 

@@ -21,7 +21,7 @@ maintenance needs to know when a cell or a scratchpad empties) from one
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.aggregates.base import AggregateFunction, Handle
 from repro.compute.base import CubeTask
@@ -37,38 +37,66 @@ from repro.core.grouping import Mask
 from repro.obs import trace
 from repro.resilience import context as rctx
 
-__all__ = ["CoreCells", "core_scratchpads", "flat_offsets",
-           "kernel_positions"]
+__all__ = ["CoreCells", "core_scratchpads", "core_strides",
+           "first_seen_ids", "flat_offsets", "kernel_positions"]
 
 
-def _ints_exact(column: AggColumn, xp) -> bool:
+def _ints_exact(column: AggColumn, xp, float64_image: bool) -> bool:
     """Can float64 carry every partial sum of the column's int-typed
     values exactly?  Python ints never round, so a column that could
     push an integer accumulator past 2**53 stays on the row path (the
-    pure-python kernels fold the raw ints and are exact anyway)."""
-    if xp is None or column.n_float == column.n_valid:
+    pure-python kernels fold the raw ints and are exact anyway -- unless
+    they see only the ``float64_image``, as workers reading a slab do)."""
+    if column.n_float == column.n_valid:
         return True
-    ints = column.data_np(xp)[column.valid_np(xp) & ~column.floats_np(xp)]
-    return float(xp.abs(ints).max()) * column.n_valid <= 2 ** 53
+    if xp is not None:
+        ints = column.data_np(xp)[column.valid_np(xp)
+                                  & ~column.floats_np(xp)]
+        biggest = float(xp.abs(ints).max())
+    elif float64_image:
+        biggest = max(abs(value) for value, valid, is_float
+                      in zip(column.raw, column.valid, column.floats)
+                      if valid and not is_float)
+    else:
+        return True
+    return biggest * column.n_valid <= 2 ** 53
 
 
 def kernel_positions(functions: Sequence[AggregateFunction],
-                     batch: ColumnBatch, xp) -> list[int]:
+                     batch: ColumnBatch, xp, *,
+                     float64_image: bool = False) -> list[int]:
     """Positions of the aggregates the kernels can compute exactly: the
     function declared a kernel and its input column satisfies the
     kernel's numeric requirement.  The rest -- holistic aggregates,
-    UDAFs, non-numeric SUM inputs -- are the caller's *residual*."""
+    UDAFs, non-numeric SUM inputs -- are the caller's *residual*.
+    ``float64_image`` says the kernels will read only the float64 image
+    (a shared-memory slab), so the pure-python kernels need exact int
+    sums too."""
     return [
         p for p, fn in enumerate(functions)
         if kernel_for(fn) is not None
         and (not kernel_needs_numeric(fn)
-             or (batch.aggs[p].numeric and _ints_exact(batch.aggs[p], xp)))
+             or (batch.aggs[p].numeric
+                 and _ints_exact(batch.aggs[p], xp, float64_image)))
         # a float64 MIN/MAX can't tell which *type* won a cross-type
         # tie, so mixed int/float columns stay on the exact row path
         # (the pure-python kernels fold raw objects and are exact)
         and (xp is None or kernel_for(fn) not in ("min", "max")
              or not batch.aggs[p].mixed_number_types)
     ]
+
+
+def core_strides(batch: ColumnBatch, core_dims: Sequence[int]
+                 ) -> dict[int, int]:
+    """Mixed-radix strides over the core dimensions' real cardinalities:
+    flat keys for the core only (no ALL slots -- the fold adds those)."""
+    cards = batch.cardinalities()
+    strides = {}
+    stride = 1
+    for i in reversed(core_dims):
+        strides[i] = stride
+        stride *= cards[i]
+    return strides
 
 
 def flat_offsets(batch: ColumnBatch, dims, strides, xp):
@@ -194,22 +222,9 @@ def core_scratchpads(task: CubeTask, batch: ColumnBatch,
     group to the active execution context and records the scatter as
     ``iter_calls``.
     """
-    n = task.n_dims
-    core_dims = [i for i in range(n) if core_mask & (1 << i)]
-
-    # flat keys over the core dimensions only (mixed radix of their
-    # real cardinalities -- no ALL slots here, the fold adds those)
-    cards = batch.cardinalities()
-    core_strides = {}
-    stride = 1
-    for i in reversed(core_dims):
-        core_strides[i] = stride
-        stride *= cards[i]
-    flat = flat_offsets(batch, core_dims, core_strides, xp)
-    if xp is not None:
-        slots, representatives = _first_seen_ids_np(flat, xp)
-    else:
-        slots, representatives = _first_seen_ids(flat)
+    core_dims = [i for i in range(task.n_dims) if core_mask & (1 << i)]
+    flat = flat_offsets(batch, core_dims, core_strides(batch, core_dims), xp)
+    slots, representatives = first_seen_ids(flat, xp)
     n_groups = len(representatives)
 
     rctx.charge_cells(n_groups, "columnar core groups")
@@ -237,14 +252,25 @@ def core_scratchpads(task: CubeTask, batch: ColumnBatch,
                      xp)
 
 
-def _first_seen_ids(flat: list[int]) -> tuple[list[int], list[int]]:
-    """Group id per row, numbered in first-seen order, plus each
-    group's first row (pure python: one dict probe per row)."""
+def first_seen_ids(flat, xp, checkpoint: Callable[[str], None]
+                   = rctx.checkpoint) -> tuple[Any, list[int]]:
+    """Group id per row of ``flat``, numbered in first-seen order, plus
+    each group's first row.  ``checkpoint`` is polled per chunk of
+    :data:`BATCH_ROWS` rows (a worker process passes its own
+    deadline/cancel check)."""
+    if xp is not None:
+        return _first_seen_ids_np(flat, xp, checkpoint)
+    return _first_seen_ids(flat, checkpoint)
+
+
+def _first_seen_ids(flat: list[int], checkpoint: Callable[[str], None]
+                    ) -> tuple[list[int], list[int]]:
+    """:func:`first_seen_ids` in pure python: one dict probe per row."""
     group_of: dict[int, int] = {}
     gids = [0] * len(flat)
     representatives: list[int] = []
     for start in range(0, len(flat), BATCH_ROWS):
-        rctx.checkpoint("columnar group scan")
+        checkpoint("columnar group scan")
         for i in range(start, min(start + BATCH_ROWS, len(flat))):
             key = flat[i]
             gid = group_of.get(key)
@@ -255,10 +281,11 @@ def _first_seen_ids(flat: list[int]) -> tuple[list[int], list[int]]:
     return gids, representatives
 
 
-def _first_seen_ids_np(flat, xp) -> tuple[Any, list[int]]:
-    """:func:`_first_seen_ids` on numpy: ``unique`` sorts the keys, and
+def _first_seen_ids_np(flat, xp, checkpoint: Callable[[str], None]
+                       ) -> tuple[Any, list[int]]:
+    """:func:`first_seen_ids` on numpy: ``unique`` sorts the keys, and
     ranking each key by its first row restores first-seen numbering."""
-    rctx.checkpoint("columnar group scan")
+    checkpoint("columnar group scan")
     _, first, inverse = xp.unique(flat, return_index=True,
                                   return_inverse=True)
     order = xp.argsort(first)

@@ -43,9 +43,10 @@ from typing import Optional
 
 from repro.aggregates.base import Handle
 from repro.compute.base import CubeAlgorithm, CubeResult, CubeTask
+from repro.compute.from_core import fold_core
 from repro.core.grouping import Mask
 from repro.core.lattice import CubeLattice
-from repro.errors import CubeError, NotMergeableError
+from repro.errors import CubeError
 from repro.obs import trace
 from repro.resilience import context as rctx
 from repro.resilience.retry import RetryPolicy, call_with_retry
@@ -74,11 +75,7 @@ class ExternalCubeAlgorithm(CubeAlgorithm):
             return self._compute_inner(task)
 
     def _compute_inner(self, task: CubeTask) -> CubeResult:
-        if not task.all_mergeable():
-            bad = [fn.name for fn in task.functions if not fn.mergeable]
-            raise NotMergeableError(
-                f"external cube needs mergeable scratchpads; {bad} are "
-                "holistic in strict mode")
+        self._require_mergeable(task)
         stats = self._new_stats()
         lattice = CubeLattice(task.dims, task.masks)
         core_mask = lattice.core
@@ -147,15 +144,7 @@ class ExternalCubeAlgorithm(CubeAlgorithm):
                 with trace.span("cube.partition", index=index,
                                 rows=len(partition),
                                 spilled=spill is not None) as span:
-                    core_cells: dict[tuple, list[Handle]] = {}
-                    for row in partition:
-                        coordinate = task.coordinate(core_mask,
-                                                     task.dim_values(row))
-                        handles = core_cells.get(coordinate)
-                        if handles is None:
-                            handles = task.new_handles(stats)
-                            core_cells[coordinate] = handles
-                        task.fold_row(handles, row, stats)
+                    core_cells = fold_core(task, partition, core_mask, stats)
 
                     resident = (len(core_cells)
                                 + sum(len(c) for c in supers.values()))

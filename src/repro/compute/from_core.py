@@ -23,6 +23,8 @@ results bit-identical to ``from-core`` by construction.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.aggregates.base import Handle
 from repro.compute.base import CubeAlgorithm, CubeResult, CubeTask
 from repro.compute.stats import ComputeStats
@@ -32,7 +34,8 @@ from repro.errors import NotMergeableError
 from repro.obs import trace
 from repro.resilience import context as rctx
 
-__all__ = ["FromCoreAlgorithm", "finalize_nodes", "fold_super_aggregates"]
+__all__ = ["FromCoreAlgorithm", "finalize_nodes", "fold_core",
+           "fold_super_aggregates"]
 
 #: One cell store per grouping set: coordinate -> live scratchpads.
 Nodes = "dict[Mask, dict[tuple, list[Handle]]]"
@@ -58,11 +61,24 @@ def _smallest_computed_parent(lattice: CubeLattice, mask: Mask,
     return min(candidates, key=lambda m: (len(nodes[m]), m))
 
 
-def _project(parent_coord: tuple, child_mask: Mask,
-             task: CubeTask) -> tuple:
-    """Project a parent coordinate onto a coarser grouping set: kept
-    dimensions retain their value, dropped ones become ALL."""
-    return task.coordinate(child_mask, parent_coord)
+def fold_core(task: CubeTask, rows: Sequence[tuple], core_mask: Mask,
+              stats: ComputeStats) -> dict[tuple, list[Handle]]:
+    """Pass 1 of the from-core strategy: the core GROUP BY of ``rows``
+    with live scratchpads, one ``Iter`` per accepted value.  Cells come
+    out in first-seen row order, each keyed by its first row's
+    coordinate.  Shared by every row-path builder of a core: from-core
+    itself, each external partition and each parallel worker."""
+    core_cells: dict[tuple, list[Handle]] = {}
+    for position, row in enumerate(rows):
+        if position & 255 == 0:
+            rctx.checkpoint("core scan")
+        coordinate = task.coordinate(core_mask, task.dim_values(row))
+        handles = core_cells.get(coordinate)
+        if handles is None:
+            handles = task.new_handles(stats)
+            core_cells[coordinate] = handles
+        task.fold_row(handles, row, stats)
+    return core_cells
 
 
 def fold_super_aggregates(task: CubeTask, nodes: dict,
@@ -94,7 +110,7 @@ def fold_super_aggregates(task: CubeTask, nodes: dict,
                     # empty input still yields one global-total cell
                     cells[task.coordinate(0, ())] = task.new_handles(stats)
                 for parent_coord, parent_handles in nodes[parent].items():
-                    coordinate = _project(parent_coord, mask, task)
+                    coordinate = task.coordinate(mask, parent_coord)
                     handles = cells.get(coordinate)
                     if handles is None:
                         handles = task.new_handles(stats)
@@ -142,31 +158,18 @@ class FromCoreAlgorithm(CubeAlgorithm):
         self.parent_choice = parent_choice
 
     def _compute(self, task: CubeTask) -> CubeResult:
-        if not task.all_mergeable():
-            bad = [fn.name for fn in task.functions if not fn.mergeable]
-            raise NotMergeableError(
-                f"from-core needs mergeable scratchpads; {bad} are holistic "
-                "in strict mode -- use the 2^N-algorithm (Section 5)")
+        self._require_mergeable(
+            task, " -- use the 2^N-algorithm (Section 5)")
         stats = self._new_stats()
         lattice = CubeLattice(task.dims, task.masks)
         core_mask = lattice.core
 
         # -- pass 1: the core GROUP BY, scratchpads kept live --------------
-        nodes: dict[Mask, dict[tuple, list[Handle]]] = {core_mask: {}}
-        core_cells = nodes[core_mask]
         with trace.span("cube.node", dims=task.mask_label(core_mask),
                         role="core", rows=len(task.rows)) as span:
             stats.base_scans = 1
-            for position, row in enumerate(task.rows):
-                if position & 255 == 0:
-                    rctx.checkpoint("from-core core scan")
-                coordinate = task.coordinate(core_mask, task.dim_values(row))
-                handles = core_cells.get(coordinate)
-                if handles is None:
-                    handles = task.new_handles(stats)
-                    core_cells[coordinate] = handles
-                task.fold_row(handles, row, stats)
-            span.set(cells=len(core_cells))
+            nodes = {core_mask: fold_core(task, task.rows, core_mask, stats)}
+            span.set(cells=len(nodes[core_mask]))
 
         # -- pass 2: walk the lattice, smallest parent first ----------------
         fold_super_aggregates(task, nodes, stats,

@@ -7,204 +7,223 @@ computing aggregates for parallel database systems.  In those systems,
 aggregates are computed for each partition of a database in parallel.
 Then the results of these parallel computations are combined."
 
-The input is split across P workers (round-robin, simulating data that
-"spans many disks").  Each worker computes a complete local cube *with
-live scratchpads* over its partition; the coordinator then coalesces
-the local cubes cell-by-cell using ``merge`` (Iter_super) -- exactly the
-combination step the paper says mirrors Figure 8's super-aggregation
-logic.  Workers run on a thread pool; correctness never depends on
-scheduling because coalescing iterates partitions in index order.
+One engine, :class:`PartitionedCube`, and two runners that differ only
+in how a partition's core GROUP BY is built: :class:`ParallelCubeAlgorithm`
+on a thread pool with the row-path
+:func:`~repro.compute.from_core.fold_core`,
+:class:`~repro.cluster.ClusterCubeAlgorithm` in worker processes with
+the columnar kernels.  The engine cuts ``P = min(n_workers, max(1,
+n_rows))`` contiguous partitions, recovers surrendered ones serially,
+merges the partition cores in partition order with ``Iter_super`` --
+contiguous partitions make that order the global first-seen order, so
+the combined core is the dict from-core builds -- and computes the
+super-aggregates from it with
+:func:`~repro.compute.from_core.fold_super_aggregates`.  The kernels
+fold a group's values in row order just as ``Iter`` does, so both
+runners return the same bits.  Strict-mode holistic aggregates cannot
+be combined across partitions and are refused.
 
-Requires mergeable functions: a strict-mode holistic aggregate cannot
-be combined across partitions, which is the parallel-database half of
-the paper's holistic warning.
-
-**Fault isolation.** When an :class:`~repro.resilience.ExecutionContext`
-is active, each worker runs under the context's retry policy: a failed
-attempt is retried with bounded backoff, and a worker that exhausts its
-retries surrenders its partition to the coordinator, which re-executes
-it *serially* after the pool drains (so a genuine, deterministic error
-still propagates -- serial recovery re-raises it).  Coalescing iterates
-partitions in index order regardless of which path produced them, so
-results are bit-identical to the all-healthy (and the fully serial)
-run.  Cancellation is never retried and never recovered.
+**Fault isolation.** Under an :class:`~repro.resilience.ExecutionContext`
+each worker attempt is retried with bounded backoff; a worker that
+exhausts its retries surrenders its partition as a
+:class:`FailedPartition`, which the engine re-executes serially and
+chaos-exempt (so a genuine, deterministic error still propagates).  The
+merge order never depends on which path built a core, so results are
+bit-identical to the undisturbed run.  Cancellation is never retried
+and never recovered.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.aggregates.base import Handle
 from repro.compute.base import CubeAlgorithm, CubeResult, CubeTask
+from repro.compute.from_core import (
+    finalize_nodes,
+    fold_core,
+    fold_super_aggregates,
+)
 from repro.compute.stats import ComputeStats
-from repro.errors import CubeError, NotMergeableError, QueryCancelledError
-from repro.obs import trace
+from repro.core.grouping import Mask
+from repro.core.lattice import CubeLattice
+from repro.errors import CubeError, QueryCancelledError
+from repro.obs import instrument, trace
 from repro.obs.trace import Span
 from repro.resilience import context as rctx
 from repro.resilience.retry import call_with_retry
 
-__all__ = ["ParallelCubeAlgorithm"]
+__all__ = ["FailedPartition", "ParallelCubeAlgorithm", "PartitionedCube"]
 
-LocalCube = dict[tuple, list[Handle]]
-
-
-class _FailedWorker:
-    """Sentinel outcome for a worker that exhausted its retries; the
-    coordinator recovers its partition serially."""
-
-    def __init__(self, worker: int, error: BaseException) -> None:
-        self.worker = worker
-        self.error = error
+#: One partition's core GROUP BY (coordinate -> live scratchpads, in
+#: first-seen order) and the counters spent building it.
+PartitionCore = tuple[dict[tuple, list[Handle]], ComputeStats]
 
 
-class ParallelCubeAlgorithm(CubeAlgorithm):
-    name = "parallel"
+class FailedPartition(NamedTuple):
+    """Sentinel for a partition whose worker exhausted its retries; the
+    engine recovers it serially."""
 
-    def __init__(self, n_workers: int = 4, *, use_threads: bool = True) -> None:
+    index: int
+    error: BaseException
+
+
+class PartitionedCube(CubeAlgorithm):
+    """The Section 5 engine; a subclass is a runner that builds the
+    partition cores."""
+
+    def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise CubeError("n_workers must be at least 1")
         self.n_workers = n_workers
-        self.use_threads = use_threads
 
-    def _compute(self, task: CubeTask) -> CubeResult:
-        if not task.all_mergeable():
-            bad = [fn.name for fn in task.functions if not fn.mergeable]
-            raise NotMergeableError(
-                f"parallel cube needs mergeable scratchpads; {bad} are "
-                "holistic in strict mode")
+    # each runner opens its own recover/coalesce spans, named literally
+    # at the call site as the span catalogue's analyzer requires
+    @abstractmethod
+    def _recover_span(self, failures: int) -> Any: ...
+
+    @abstractmethod
+    def _coalesce_span(self, workers: int) -> Any: ...
+
+    def _partition_then_combine(
+            self, task: CubeTask,
+            build_cores: Callable[..., list[PartitionCore]]) -> CubeResult:
+        """``build_cores(task, core_mask, bounds, stats)`` is the runner:
+        one core per partition ``rows[bounds[i]:bounds[i + 1]]``,
+        surrendered ones recovered through :meth:`_recover`."""
         stats = self._new_stats()
-        stats.partitions = self.n_workers
+        core_mask = CubeLattice(task.dims, task.masks).core
+        n_rows = len(task.rows)
+        parts = min(self.n_workers, max(1, n_rows))
+        bounds = [n_rows * i // parts for i in range(parts + 1)]
+        stats.partitions = parts
+        cores = build_cores(task, core_mask, bounds, stats)
+        nodes = {core_mask: self._merge(task, cores, stats)}
+        fold_super_aggregates(task, nodes, stats)
+        cells = finalize_nodes(task, nodes, stats)
+        return CubeResult(table=task.result_table(cells), stats=stats)
 
-        partitions: list[list[tuple]] = [[] for _ in range(self.n_workers)]
-        for position, row in enumerate(task.rows):
-            partitions[position % self.n_workers].append(row)
-
-        # worker threads have their own (empty) span stacks, so the
-        # coordinating thread's open span is passed down explicitly
-        parent = trace.current_span()
-        ctx = rctx.current_context()
-        if ctx is None:
-            run_worker = (lambda i, rows:
-                          _local_cube(task, rows, worker=i, parent=parent))
-        else:
-            run_worker = (lambda i, rows:
-                          _guarded_local_cube(task, rows, worker=i,
-                                              parent=parent, ctx=ctx))
-        if self.use_threads and self.n_workers > 1:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                outcomes = list(pool.map(
-                    lambda item: run_worker(item[0], item[1]),
-                    enumerate(partitions)))
-        else:
-            outcomes = [run_worker(i, p) for i, p in enumerate(partitions)]
-
-        # -- recover surrendered partitions serially ------------------------
-        failed = [o for o in outcomes if isinstance(o, _FailedWorker)]
+    def _recover(self, outcomes: list, stats: ComputeStats,
+                 rebuild: Callable[[int], PartitionCore]
+                 ) -> list[PartitionCore]:
+        """Replace every :class:`FailedPartition` in ``outcomes`` with
+        ``rebuild(index)``, run serially in the coordinator."""
+        failed = [o for o in outcomes if isinstance(o, FailedPartition)]
         if failed:
-            from repro.obs import instrument
             stats.notes["recovered_partitions"] = len(failed)
-            with trace.span("cube.parallel.recover",
-                            failures=len(failed)) as recover_span:
+            with self._recover_span(len(failed)) as recover_span:
                 for lost in failed:
-                    rctx.checkpoint("parallel recovery")
+                    rctx.checkpoint(f"{self.name} recovery")
                     recover_span.event("recover_partition",
-                                       worker=lost.worker,
+                                       worker=lost.index,
                                        error=str(lost.error))
                     instrument.record_worker_recovery()
                     # plain serial re-execution: chaos-exempt, so a
                     # genuine deterministic error re-raises here
-                    outcomes[lost.worker] = _local_cube(
-                        task, partitions[lost.worker],
-                        worker=lost.worker, parent=recover_span)
+                    outcomes[lost.index] = rebuild(lost.index)
+        return outcomes
 
-        locals_, local_stats = zip(*outcomes)
-        for worker_stats in local_stats:
-            stats.merged(worker_stats)
-
-        # -- coalesce: merge local cubes cell-by-cell -----------------------
-        with trace.span("cube.parallel.coalesce",
-                        workers=self.n_workers) as span:
-            combined: LocalCube = {}
-            for local in locals_:
-                for coordinate, handles in local.items():
+    def _merge(self, task: CubeTask, cores: Sequence[PartitionCore],
+               stats: ComputeStats) -> dict[tuple, list[Handle]]:
+        """The partition cores merged, in partition order, into the
+        combined core."""
+        with self._coalesce_span(len(cores)) as span:
+            combined: dict[tuple, list[Handle]] = {}
+            for cells, partition_stats in cores:
+                rctx.checkpoint(f"{self.name} coalesce")
+                stats.merged(partition_stats)
+                for coordinate, handles in cells.items():
                     target = combined.get(coordinate)
                     if target is None:
                         target = task.new_handles(stats)
                         combined[coordinate] = target
                     task.merge_handles(target, handles, stats)
-
-            if 0 in task.masks and not task.rows:
-                key = task.coordinate(0, ())
-                if key not in combined:
-                    combined[key] = task.new_handles(stats)
-
-            # peak residency: every worker's local cube is still alive
-            # while the coordinator folds it into ``combined``, so the
-            # true peak is all local cells plus the coalesced cube --
-            # counting only the final dict would under-report it
+            # every partition's core is alive while the coordinator
+            # folds it into the combined core -- count both for the peak
             stats.observe_resident(
-                sum(len(local) for local in locals_) + len(combined))
+                sum(len(cells) for cells, _ in cores) + len(combined))
             span.set(cells=len(combined))
-        cells = [(coordinate, task.finalize(handles, stats))
-                 for coordinate, handles in combined.items()]
-        stats.cells_produced = len(cells)
-        return CubeResult(table=task.result_table(cells), stats=stats)
+        return combined
 
 
-def _local_cube(task: CubeTask, rows: Sequence[tuple], *,
-                worker: int = 0,
-                parent: "Span | None" = None
-                ) -> tuple[LocalCube, ComputeStats]:
-    """One worker: a complete local cube with live scratchpads.
+class ParallelCubeAlgorithm(PartitionedCube):
+    """The thread runner: each partition's core is a row-path
+    :func:`~repro.compute.from_core.fold_core` on a pool thread
+    (``use_threads=False`` runs the partitions one after another)."""
 
-    Uses the 2^N fold over the partition -- every local grouping-set
-    cell keeps its handle so the coordinator can merge.  ``base_scans``
-    is 1 per worker (each worker scans only its own partition), so the
-    coordinator's merged total is ``n_workers`` -- see the
-    :class:`~repro.compute.stats.ComputeStats` docstring.
-    """
-    with trace.span("cube.parallel.worker", parent=parent, worker=worker,
-                    rows=len(rows)) as span:
-        stats = ComputeStats(algorithm="parallel-worker")
-        stats.base_scans = 1
-        cells: LocalCube = {}
-        for row in rows:
-            dim_values = task.dim_values(row)
-            for mask in task.masks:
-                coordinate = task.coordinate(mask, dim_values)
-                handles = cells.get(coordinate)
-                if handles is None:
-                    handles = task.new_handles(stats)
-                    cells[coordinate] = handles
-                task.fold_row(handles, row, stats)
-        stats.observe_resident(len(cells))
-        span.set(cells=len(cells))
-        span.attach_stats(stats)
-    return cells, stats
+    name = "parallel"
+
+    def __init__(self, n_workers: int = 4, *, use_threads: bool = True) -> None:
+        super().__init__(n_workers)
+        self.use_threads = use_threads
+
+    def _recover_span(self, failures: int) -> Any:
+        return trace.span("cube.parallel.recover", failures=failures)
+
+    def _coalesce_span(self, workers: int) -> Any:
+        return trace.span("cube.parallel.coalesce", workers=workers)
+
+    def _compute(self, task: CubeTask) -> CubeResult:
+        self._require_mergeable(task)
+        return self._partition_then_combine(task, self._fold_partitions)
+
+    def _fold_partitions(self, task: CubeTask, core_mask: Mask,
+                         bounds: list[int],
+                         stats: ComputeStats) -> list[PartitionCore]:
+        # worker threads have their own (empty) span stacks, so the
+        # coordinating thread's open span is passed down explicitly
+        parent = trace.current_span()
+        ctx = rctx.current_context()
+
+        def fold(i: int, parent: "Span | None" = None) -> PartitionCore:
+            rows = task.rows[bounds[i]:bounds[i + 1]]
+            with trace.span("cube.parallel.worker", parent=parent, worker=i,
+                            rows=len(rows)) as span:
+                # one base scan per worker, so the merged total is the
+                # partition count (see the ComputeStats docstring)
+                local = ComputeStats(algorithm="parallel-worker",
+                                     base_scans=1)
+                cells = fold_core(task, rows, core_mask, local)
+                local.observe_resident(len(cells))
+                span.set(cells=len(cells))
+                span.attach_stats(local)
+            return cells, local
+
+        def run(i: int) -> "PartitionCore | FailedPartition":
+            if ctx is None:
+                return fold(i, parent)
+            return _guarded(fold, i, parent=parent, ctx=ctx)
+
+        workers = range(len(bounds) - 1)
+        if self.use_threads and len(workers) > 1:
+            with ThreadPoolExecutor(max_workers=len(workers)) as pool:
+                outcomes = list(pool.map(run, workers))
+        else:
+            outcomes = [run(i) for i in workers]
+        return self._recover(outcomes, stats, fold)
 
 
-def _guarded_local_cube(task: CubeTask, rows: Sequence[tuple], *,
-                        worker: int, parent: "Span | None",
-                        ctx) -> "tuple[LocalCube, ComputeStats] | _FailedWorker":
+def _guarded(fold: Callable[[int, "Span | None"], PartitionCore],
+             worker: int, *, parent: "Span | None",
+             ctx) -> "PartitionCore | FailedPartition":
     """One worker under the context's fault envelope.
 
     Each attempt polls the cancellation token and fires the
     ``slow_node`` / ``worker_crash`` chaos points (keyed on worker and
     attempt, so a seed can crash attempt 0 and spare the retry).
     Failures retry with bounded backoff; exhausted retries return a
-    :class:`_FailedWorker` sentinel for serial recovery instead of
+    :class:`FailedPartition` sentinel for serial recovery instead of
     sinking the whole query.  Cancellation propagates immediately.
     """
-    from repro.obs import instrument
-
     def on_failure(attempt: int, error: BaseException) -> None:
         instrument.record_worker_retry()
         if parent is not None:
             parent.event("worker_retry", worker=worker, attempt=attempt,
                          error=str(error))
 
-    def run(attempt: int) -> tuple[LocalCube, ComputeStats]:
+    def run(attempt: int) -> PartitionCore:
         # the active-context slot is thread-local, so the worker thread
         # re-installs the coordinator's context before doing any work --
         # budget charges and checkpoints then hit the shared accountant
@@ -212,7 +231,7 @@ def _guarded_local_cube(task: CubeTask, rows: Sequence[tuple], *,
             ctx.check(f"parallel worker {worker}")
             ctx.inject("slow_node", worker=worker, attempt=attempt)
             ctx.inject("worker_crash", worker=worker, attempt=attempt)
-            return _local_cube(task, rows, worker=worker, parent=parent)
+            return fold(worker, parent)
 
     try:
         return call_with_retry(run, policy=ctx.retry, on_failure=on_failure)
@@ -222,4 +241,4 @@ def _guarded_local_cube(task: CubeTask, rows: Sequence[tuple], *,
         instrument.record_worker_failure()
         if parent is not None:
             parent.event("worker_failed", worker=worker, error=str(error))
-        return _FailedWorker(worker, error)
+        return FailedPartition(worker, error)

@@ -40,12 +40,8 @@ class PipeSortAlgorithm(CubeAlgorithm):
     name = "pipesort"
 
     def _compute(self, task: CubeTask) -> CubeResult:
-        if not task.all_mergeable():
-            bad = [fn.name for fn in task.functions if not fn.mergeable]
-            raise NotMergeableError(
-                f"pipesort needs mergeable scratchpads; {bad} are "
-                "holistic in strict mode -- sorts of parent results "
-                "fold handles with Iter_super")
+        self._require_mergeable(
+            task, " -- sorts of parent results fold handles with Iter_super")
         stats = self._new_stats()
         n = task.n_dims
         mask_set = set(task.masks)

@@ -8,7 +8,8 @@ consulted at four injection points wired into the engine:
 
 ``worker_crash``
     A parallel worker raises :class:`~repro.errors.FaultInjectedError`
-    before computing its local cube (``compute/parallel.py``).
+    before computing its partition's core (``compute/parallel.py``); a
+    cluster worker process SIGKILLs itself (``cluster/pool.py``).
 ``spill_write``
     A partition spill write fails during the external algorithm's
     partition pass (``compute/external.py``).

@@ -1,13 +1,17 @@
 """ClusterCubeAlgorithm end to end: bit-identity with the columnar
-backend, the eligibility fallbacks (holistic, no-kernel, huge ints,
-mixed-type extremes), empty input, timeouts, cancellation, and the
-optimizer registration contract."""
+backend and with the thread runner, the eligibility fallbacks
+(holistic, no-kernel, huge ints and huge int sums, mixed-type
+extremes), empty input, timeouts, cancellation, and the optimizer
+registration contract."""
+
+import random
 
 import pytest
 
 from repro import Table, agg, cube
 from repro.cluster import ClusterCubeAlgorithm, MANAGER, shutdown_pools
 from repro.compute.columnar.batch import HAVE_NUMPY
+from repro.compute.parallel import ParallelCubeAlgorithm
 from repro.compute.optimizer import ALGORITHMS, choose_algorithm
 from repro.core.cube import cube_with_stats
 from repro.errors import (
@@ -122,6 +126,19 @@ class TestEligibility:
         assert result.table.rows == expected.rows
         assert any(big + 1 == row[-1] for row in result.table.rows)
 
+    def test_int_sums_beyond_float64_fall_back_exactly(self):
+        """Every value fits a float64 but their sum does not: the slab
+        path would round it, so eligibility is the kernels' own rule."""
+        table = Table([("d", "STRING"), ("m", "INTEGER")],
+                      [("a", 2 ** 52 + 1)] * 10)
+        aggs = [agg("SUM", "m", "s")]
+        result = cube_with_stats(table, ["d"], aggs,
+                                 algorithm=ClusterCubeAlgorithm(n_workers=2))
+        expected = cube(table, ["d"], aggs, algorithm="from-core")
+        assert list(map(repr, result.table.rows)) == \
+            list(map(repr, expected.rows))
+        assert result.stats.notes["fallback"] == "parallel"
+
     @pytest.mark.skipif(not HAVE_NUMPY, reason="mixed-type ties need numpy "
                         "to be the backend under test")
     def test_mixed_int_float_extremes_fall_back(self):
@@ -172,3 +189,44 @@ class TestEdges:
                     algorithm=ClusterCubeAlgorithm(n_workers=2,
                                                    force_python=True))
         assert sorted(map(repr, fast.rows)) == sorted(map(repr, slow.rows))
+
+
+class TestOneEngine:
+    """The thread and process runners share partitions, merge order and
+    fold, so float SUM/AVG come back with the same bits from both --
+    and from the cluster's own thread fallback."""
+
+    @staticmethod
+    def _floats():
+        rng = random.Random(5)
+        rows = [(rng.choice("abc"), rng.choice("xyz"), rng.random())
+                for _ in range(200)]
+        return Table([("d0", "STRING"), ("d1", "STRING"), ("f", "FLOAT")],
+                     rows)
+
+    AGGS = [agg("SUM", "f", "s"), agg("AVG", "f", "a")]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_thread_and_process_runners_agree_bitwise(self, workers):
+        table = self._floats()
+        threads = cube(table, ["d0", "d1"], self.AGGS,
+                       algorithm=ParallelCubeAlgorithm(workers))
+        processes = cube(table, ["d0", "d1"], self.AGGS,
+                         algorithm=ClusterCubeAlgorithm(workers))
+        assert list(map(repr, threads.rows)) == \
+            list(map(repr, processes.rows))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fallback_keeps_the_slab_paths_bits(self, workers):
+        from repro.aggregates import Median
+        from repro.engine.groupby import AggregateSpec
+        table = self._floats()
+        slab = cube(table, ["d0", "d1"], self.AGGS,
+                    algorithm=ClusterCubeAlgorithm(workers))
+        fallback = cube_with_stats(
+            table, ["d0", "d1"],
+            self.AGGS + [AggregateSpec(Median(carrying=True), "f", "med")],
+            algorithm=ClusterCubeAlgorithm(workers), sort_result=True)
+        assert fallback.stats.notes["fallback"] == "parallel"
+        assert [repr(tuple(row[:4])) for row in fallback.table.rows] == \
+            [repr(tuple(row)) for row in slab.rows]

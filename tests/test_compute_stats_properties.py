@@ -107,12 +107,13 @@ def test_merged_sums_counters_and_maxes_residency(a, b):
 
 
 def test_parallel_resident_counts_live_worker_cubes():
-    """The coalesce peak includes every worker-local cube still alive
-    while the coordinator folds it in -- not just the combined dict."""
-    rows = [("a", 1, 1.0), ("b", 1, 2.0), ("a", 2, 3.0), ("b", 2, 4.0)]
-    result = make_algorithm("parallel", n_workers=2).compute(
+    """The merge peak includes every worker-local core still alive
+    while the coordinator folds it in -- not just the combined core."""
+    rows = [("a", 1, 1.0), ("b", 2, 2.0)] * 3
+    result = make_algorithm("parallel", n_workers=3).compute(
         make_task(rows, 1))
-    # each worker sees 2 distinct rows -> 2*2+1+1 = 6 local cells;
-    # combined cube has 9 cells (3x3 including ALL planes)
-    assert len(result.table) == 9
-    assert result.stats.max_resident_cells == 6 + 6 + 9
+    # each of the 3 contiguous partitions holds both core cells, and the
+    # combined core has the same 2; the whole lattice is only 7 cells
+    # (2 core + 2 + 2 + the global total)
+    assert len(result.table) == 7
+    assert result.stats.max_resident_cells == 3 * 2 + 2
