@@ -45,32 +45,43 @@ _SUPPORTED = (Count, CountStar, Sum, Min, Max)
 
 
 class _Accumulator:
-    """One aggregate's dense arrays: the values and the accepted-count.
+    """One aggregate's dense arrays: the values, the accepted-count, and
+    the count of float-typed accepted inputs.
 
     The accepted-count array keeps SQL semantics exact: a cell whose
     inputs were all NULL yields NULL for SUM/MIN/MAX even though rows
-    exist there.
+    exist there.  The float count restores the row path's result type:
+    a SUM is a float once any float input reached it, and a MIN/MAX
+    over only floats is a float (over mixed int and float inputs the
+    winner's type is unknown, so an integral extreme decodes as int).
     """
 
     def __init__(self, fn, values: np.ndarray, accepted: np.ndarray,
-                 reducer: Callable, sentinel: float | None) -> None:
+                 floats: np.ndarray, reducer: Callable,
+                 sentinel: float | None) -> None:
         self.fn = fn
         self.values = values
         self.accepted = accepted
+        self.floats = floats
         self.reducer = reducer
         self.sentinel = sentinel
 
     def project(self, axis: int, core: tuple, target: tuple) -> None:
         self.values[target] = self.reducer(self.values[core], axis)
         self.accepted[target] = self.accepted[core].sum(axis=axis)
+        self.floats[target] = self.floats[core].sum(axis=axis)
 
     def decode(self, index: tuple) -> Any:
         raw = self.values[index]
         if isinstance(self.fn, (Count, CountStar)):
             return int(raw)
-        if self.accepted[index] == 0:
+        accepted = self.accepted[index]
+        if accepted == 0:
             return None
         value = float(raw)
+        floats = self.floats[index]
+        if floats == accepted or (floats and isinstance(self.fn, Sum)):
+            return value
         if value.is_integer():
             return int(value)
         return value
@@ -241,6 +252,7 @@ class ArrayCubeAlgorithm(CubeAlgorithm):
     def _fill_core(fn, inputs: list, flat_core: np.ndarray,
                    shape: tuple) -> _Accumulator:
         size = int(np.prod(shape))
+        float_rows: list[int] = []
         if isinstance(fn, CountStar):
             accept_rows = list(range(len(inputs)))
             data = np.ones(len(inputs), dtype=np.float64)
@@ -263,12 +275,16 @@ class ArrayCubeAlgorithm(CubeAlgorithm):
                     continue  # NaN never participates (_Extreme.accepts)
                 accept_rows.append(r)
                 numeric.append(float(v))
+                if isinstance(v, float):
+                    float_rows.append(r)
             data = np.array(numeric, dtype=np.float64)
         idx = (flat_core[np.array(accept_rows, dtype=np.int64)]
                if accept_rows else np.empty(0, dtype=np.int64))
 
         accepted = np.zeros(size, dtype=np.int64)
         np.add.at(accepted, idx, 1)
+        floats = np.zeros(size, dtype=np.int64)
+        np.add.at(floats, flat_core[np.array(float_rows, dtype=np.int64)], 1)
 
         if isinstance(fn, (Count, CountStar, Sum)):
             values = np.zeros(size, dtype=np.float64)
@@ -283,5 +299,5 @@ class ArrayCubeAlgorithm(CubeAlgorithm):
             np.maximum.at(values, idx, data)
             reducer = lambda a, axis: a.max(axis=axis)  # noqa: E731
         return _Accumulator(fn, values.reshape(shape),
-                            accepted.reshape(shape), reducer,
-                            None)
+                            accepted.reshape(shape), floats.reshape(shape),
+                            reducer, None)

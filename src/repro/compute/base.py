@@ -29,11 +29,11 @@ from repro.engine.expressions import column_position
 from repro.engine.groupby import AggregateSpec
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
-from repro.errors import CubeError
+from repro.errors import CubeError, MaintenanceError
 from repro.types import ALL, DataType
 
 __all__ = ["CubeTask", "CubeResult", "CubeAlgorithm", "TaskSource",
-           "build_task"]
+           "build_task", "source_task_row"]
 
 
 @dataclass(frozen=True)
@@ -445,3 +445,19 @@ def _evaluate_per_row(names: Sequence[str], rows: Sequence[tuple],
             for column, evaluate in zip(columns, evaluators):
                 column.append(evaluate(context))
     return columns
+
+
+def source_task_row(names: Sequence[str], keys: Sequence, specs: Sequence,
+                    row: Sequence[Any]) -> tuple:
+    """One raw source row as a task row -- dimension values, then one
+    input per aggregate -- evaluated as :func:`build_task` evaluates its
+    rows.  ``keys`` are the normalized ``(expression, alias)`` pairs.
+    Rows that arrive after a build (maintained DML, streamed cache
+    deltas) come through here."""
+    if len(row) != len(names):
+        raise MaintenanceError(
+            f"row has {len(row)} values; base table has {len(names)} "
+            "columns")
+    context = dict(zip(names, row))
+    return (tuple(expr.evaluate(context) for expr, _ in keys)
+            + tuple(spec.evaluate_input(context) for spec in specs))

@@ -41,13 +41,13 @@ users avoid holistic functions").
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import replace
 from typing import Sequence
 
 from repro.aggregates.base import Handle
-from repro.compute.base import CubeTask, build_task
+from repro.compute import delta
+from repro.compute.base import CubeTask, build_task, source_task_row
 from repro.compute.columnar.batch import ColumnBatch, numpy_backend
 from repro.compute.columnar.core import core_scratchpads, kernel_positions
 from repro.compute.columnar.kernels import kernel_for
@@ -182,7 +182,7 @@ class PartialCube:
         universe = list(dict.fromkeys(
             [full, *universe, *(materialize or ())]))
         # retained so apply_delta can evaluate streamed source rows into
-        # task rows exactly the way build_task did
+        # task rows (source_task_row) exactly the way build_task did
         from repro.engine.groupby import normalize_keys
         self._normalized = normalize_keys(dims)
         self._specs = list(aggregates)
@@ -340,31 +340,15 @@ class PartialCube:
 
     # -- streaming maintenance (Section 6) ---------------------------------
 
-    def _to_task_row(self, row: tuple) -> tuple:
-        """Evaluate one raw source row into a task row, exactly the way
-        :func:`~repro.compute.base.build_task` did at build time."""
-        context = dict(zip(self._source_names, row))
-        dim_values = tuple(expr.evaluate(context)
-                           for expr, _ in self._normalized)
-        agg_values = tuple(spec.evaluate_input(context)
-                           for spec in self._specs)
-        return dim_values + agg_values
-
     def apply_delta(self, inserts: Sequence[tuple] = (),
                     deletes: Sequence[tuple] = ()) -> int:
-        """Fold a batch of raw source rows into every materialized view.
-
-        This is Section 6 maintenance applied to the HRU selection:
-        INSERTs are O(1) ``Iter`` folds per (view, cell) -- distributive
-        and algebraic scratchpads absorb new rows without rescanning --
-        and DELETEs are ``unapply`` calls where the function supports
-        them.  A delete that hits a delete-holistic scratchpad (the
-        departing value *is* the MIN/MAX extreme, the paper's "MAX is
-        distributive for INSERT but holistic for DELETE") raises
-        :class:`~repro.errors.DeltaRequiresInvalidationError` **before
-        any state changed**: deletes are staged against copies and only
-        committed once every unapply succeeded, so the caller (the serve
-        cache) can fall back to invalidation on a still-consistent cube.
+        """Fold a batch of raw source rows into every materialized view
+        -- Section 6 maintenance applied to the HRU selection, run by
+        :mod:`repro.compute.delta`.  A delete that hits a NaN or a
+        delete-holistic scratchpad (the departing MIN/MAX extreme)
+        raises :class:`~repro.errors.DeltaRequiresInvalidationError`
+        **before any state changed**, so the caller (the serve cache)
+        can fall back to invalidation on a still-consistent cube.
 
         Returns the number of cells touched across all views.
         """
@@ -379,105 +363,26 @@ class PartialCube:
                     f"{fn.name or type(fn).__name__} is not delta-exact: "
                     "folding a delta cannot reproduce a cold recompute "
                     "bit-for-bit")
-        delta_in = [self._to_task_row(row) for row in inserts]
-        delta_out = [self._to_task_row(row) for row in deletes]
-
-        # -- stage deletes (fallible) without mutating anything --------
-        # Outgoing rows are grouped per (view, cell) first: a cell whose
-        # underlying set empties entirely is simply dropped -- exactly
-        # what a cold recompute would produce -- so unapply only has to
-        # succeed for cells that survive with rows remaining.
-        out_by_cell: dict[tuple[Mask, tuple], list[tuple]] = {}
-        for row in delta_out:
-            dim_values = task.dim_values(row)
-            for mask in self._views:
-                key = (mask, task.coordinate(mask, dim_values))
-                out_by_cell.setdefault(key, []).append(row)
-        staged: dict[tuple[Mask, tuple],
-                     tuple[list[Handle], list[int]]] = {}
-        emptied: list[tuple[Mask, tuple]] = []
-        for (mask, coordinate), rows in out_by_cell.items():
-            current = self._views[mask].get(coordinate)
-            count = self._counts[mask].get(coordinate, 0)
-            if current is None or count < len(rows):
-                raise DeltaRequiresInvalidationError(
-                    "delta deletes more rows than this cuboid's cell "
-                    "holds; the delta cannot be consistent with it")
-            if count == len(rows):
-                emptied.append((mask, coordinate))
-                continue
-            handles = list(current)
-            accepted = list(self._accepted[mask][coordinate])
-            for position, fn in enumerate(task.functions):
-                removed = [values[position] for row in rows
-                           if fn.accepts(
-                               (values := task.agg_values(row))[position])]
-                if not removed:
-                    continue
-                if accepted[position] < len(removed):
-                    raise DeltaRequiresInvalidationError(
-                        "delta deletes more accepted values than this "
-                        "cuboid's cell folded; it cannot be consistent")
-                accepted[position] -= len(removed)
-                if accepted[position] == 0:
-                    # the position's underlying value set emptied: the
-                    # canonical empty scratchpad is bit-identical to a
-                    # cold recompute (SUM -> NULL, not 0)
-                    handles[position] = fn.start()
-                    continue
-                for value in removed:
-                    if isinstance(value, float) and math.isnan(value):
-                        # IEEE NaN arithmetic is not invertible
-                        # (NaN - NaN != 0): no scratchpad subtraction
-                        # can recover the pre-NaN state
-                        raise DeltaRequiresInvalidationError(
-                            f"{fn.name} cannot unapply a NaN value; "
-                            "the cell needs a recompute")
-                    handle, supported = fn.unapply(
-                        handles[position], value)
-                    if not supported:
-                        raise DeltaRequiresInvalidationError(
-                            f"{fn.name} is delete-holistic at this "
-                            "value (Section 6); the cell needs a "
-                            "recompute")
-                    handles[position] = handle
-                    self.stats.iter_calls += 1
-            staged[(mask, coordinate)] = (handles, accepted)
-
-        # -- commit: deletes first, then infallible insert folds -------
-        touched = set(out_by_cell)
-        for mask, coordinate in emptied:
-            del self._views[mask][coordinate]
-            del self._counts[mask][coordinate]
-            del self._accepted[mask][coordinate]
-        for (mask, coordinate), (handles, accepted) in staged.items():
-            self._views[mask][coordinate] = handles
-            self._accepted[mask][coordinate] = accepted
-            self._counts[mask][coordinate] -= len(
-                out_by_cell[(mask, coordinate)])
-        for row in delta_in:
-            dim_values = task.dim_values(row)
-            agg_values = task.agg_values(row)
-            for mask, view in self._views.items():
-                coordinate = task.coordinate(mask, dim_values)
-                handles = view.get(coordinate)
-                if handles is None:
-                    handles = task.new_handles(self.stats)
-                    view[coordinate] = handles
-                    self._accepted[mask][coordinate] = [0] * task.n_aggs
-                task.fold_row(handles, row, self.stats)
-                counts = self._counts[mask]
-                counts[coordinate] = counts.get(coordinate, 0) + 1
-                accepted = self._accepted[mask][coordinate]
-                for position, fn in enumerate(task.functions):
-                    if fn.accepts(agg_values[position]):
-                        accepted[position] += 1
-                touched.add((mask, coordinate))
-
+        cells = delta.Cells(self._views, self._counts, self._accepted)
+        staged = delta.stage(
+            task, cells,
+            [source_task_row(self._source_names, self._normalized,
+                             self._specs, row) for row in inserts],
+            [source_task_row(self._source_names, self._normalized,
+                             self._specs, row) for row in deletes])
+        if staged.declined:
+            why = next(iter(staged.declined.values()))
+            raise DeltaRequiresInvalidationError(
+                f"{why}; the cell needs a recompute")
+        outcome = delta.commit(task, cells, staged)
+        if outcome.created:
+            rctx.charge_cells(outcome.created)
+        self.stats.start_calls += outcome.created * task.n_aggs
+        self.stats.iter_calls += outcome.iter_calls
         for mask, view in self._views.items():
             self.sizes[mask] = max(1, len(view))
         self.stats.cells_produced = self.materialized_rows
-        return len(touched)
+        return outcome.touched
 
     def query(self, grouped: Sequence[str]) -> Table:
         """Answer one grouping-set query (grouped column names)."""
@@ -549,9 +454,6 @@ class PartialCube:
                      rows_scanned=scanned, cells=len(cells))
         instrument.record_view_answer(scanned)
         return asked.result_table(cells), scanned
-
-    def _answer(self, mask: Mask) -> Table:
-        return self.answer(mask)
 
     def describe(self) -> str:
         names = [" ".join(mask_to_names(m, self._task.dims)) or "(total)"

@@ -36,9 +36,10 @@ batch from merging into an entry that missed this one).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.analysis import locktrack
 from repro.errors import MaintenanceError, ServerOverloadedError
@@ -126,8 +127,16 @@ class StreamIngestor:
         flushed = self.flush(key) if flush_now else None
         return {"buffered": n_ops, "flushed": flushed}
 
-    def _locked(self):
-        return _TrackedLock(self._lock)
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """The ingest lock with lock-order sanitizer bookkeeping (the
+        serve cache's pattern)."""
+        with self._lock:
+            locktrack.note_acquire("maintenance.ingest")
+            try:
+                yield
+            finally:
+                locktrack.note_release("maintenance.ingest")
 
     def pending_ops_locked(self) -> int:
         return sum(len(batch) for batch in self._pending.values())
@@ -234,20 +243,3 @@ class StreamIngestor:
         with self._locked():
             return {**self.stats, "pending_ops": self.pending_ops_locked()}
 
-
-class _TrackedLock:
-    """Context manager pairing the ingest lock with the lock-order
-    sanitizer (same pattern as the serve cache's ``_locked``)."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-
-    def __enter__(self) -> None:
-        self._lock.acquire()
-        locktrack.note_acquire("maintenance.ingest")
-
-    def __exit__(self, *exc: Any) -> None:
-        locktrack.note_release("maintenance.ingest")
-        self._lock.release()

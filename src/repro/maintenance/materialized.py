@@ -2,35 +2,23 @@
 
 A :class:`MaterializedCube` stores a live scratchpad (Figure 7 handle)
 per aggregate per cube cell and keeps it consistent under INSERT,
-DELETE, and UPDATE of the base table:
+DELETE, and UPDATE (= DELETE + INSERT) of the base table.  Every cell
+change runs through :mod:`repro.compute.delta`, the Section 6 code the
+serve cache's ``PartialCube.apply_delta`` runs too: an INSERT visits at
+most 2^N cells, pruned by the MIN/MAX short-circuit; a DELETE unapplies
+where the scratchpad can and otherwise **recomputes the cell from the
+retained base rows** -- the asymmetry the paper highlights ("max is
+distributive for SELECT and INSERT, but it is holistic for DELETE").
+The cube stays equal to a from-scratch recomputation, which the
+test-suite asserts under random operation streams.
 
-- **INSERT** visits the record's cell in each grouping set -- at most
-  2^N cells -- folding the new values in with ``Iter``.  For
-  insert-monotone functions (MIN/MAX) the paper's short-circuit prunes
-  the walk: "if the new value loses one competition, then it will lose
-  in all lower dimensions", so all coarser cells below a losing cell
-  are skipped.
-- **DELETE** asks each aggregate to ``unapply`` the departing values.
-  Functions that are algebraic for delete (COUNT, SUM, AVG, VARIANCE)
-  absorb it in O(1); delete-holistic functions (MIN/MAX when the
-  extreme leaves, MEDIAN in strict mode) decline, and the affected cell
-  is **recomputed from retained base data** -- the cost asymmetry the
-  paper highlights ("max is distributive for SELECT and INSERT, but it
-  is holistic for DELETE").
-- **UPDATE** is DELETE + INSERT, as Section 6 treats it.
-
-Cells whose contributing-row count reaches zero are evicted, so the
-materialized cube stays exactly equal to a from-scratch recomputation
-(a property the test-suite asserts under random operation streams).
-
-**Transactions.**  Every operation is apply-or-rollback: a DELETE that
-raises :class:`~repro.errors.DeleteRequiresRecomputeError` halfway down
-the lattice walk (some super-cells decremented, others not) restores
-the pre-operation state instead of leaving the cube inconsistent.
-:meth:`MaterializedCube.transaction` widens the same guarantee to a
-whole batch -- wrap any sequence of inserts/deletes/updates and either
-all of them land or none do -- and :meth:`MaterializedCube.apply_batch`
-is the convenience form.  Rollbacks count on
+**Transactions.**  Every operation is apply-or-rollback, and
+:meth:`MaterializedCube.transaction` (or :meth:`~MaterializedCube.apply_batch`)
+widens that to a batch.  Rollback replays an undo log in reverse: each
+touched cell's prior handles (deep-copied, one cell at a time), row
+count and accepted counts, or the fact that it was absent; base-row
+appends and removals; a copy of the stats.  An operation therefore costs
+the cells it touches, not the cube.  Rollbacks count on
 ``repro_maintenance_rollbacks_total`` and appear as ``rollback`` span
 events.
 
@@ -49,18 +37,16 @@ committed ones (docs/STORAGE.md).
 from __future__ import annotations
 
 import contextlib
-import copy
-from typing import Any, Iterator, Sequence
-
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.aggregates.base import Handle
 from repro.aggregates.registry import AggregateRegistry, default_registry
-from repro.compute.base import build_task
+from repro.compute import delta
+from repro.compute.base import build_task, source_task_row
 from repro.core.addressing import CubeView
 from repro.core.cube import _normalize_requests
 from repro.core.grouping import GroupingSpec, Mask
-from repro.core.lattice import CubeLattice
 from repro.engine.groupby import normalize_keys
 from repro.engine.table import Table
 from repro.errors import (
@@ -71,6 +57,7 @@ from repro.errors import (
 )
 from repro.maintenance.propagation import MaintenanceStats
 from repro.obs import instrument, trace
+from repro.types import ALL
 
 __all__ = ["MaterializedCube"]
 
@@ -116,26 +103,26 @@ class MaterializedCube:
 
         task = build_task(base, dims, self._specs, spec.grouping_sets())
         self._task = task  # reused for coordinates / folding helpers
-        self._lattice = CubeLattice(task.dims, task.masks)
-        # mask -> coordinate -> handles ; and per-cell contributing rows
+        # mask -> coordinate -> handles, contributing rows, and accepted
+        # values per aggregate (the dicts repro.compute.delta maintains)
         self._cells: dict[Mask, dict[tuple, list[Handle]]] = {
             mask: {} for mask in task.masks}
         self._counts: dict[Mask, dict[tuple, int]] = {
             mask: {} for mask in task.masks}
-        self._base_rows: list[tuple] = []
+        self._accepted: dict[Mask, dict[tuple, list[int]]] = {
+            mask: {} for mask in task.masks}
 
-        from repro.compute.stats import ComputeStats
-        self._fold_stats = ComputeStats(algorithm="maintenance")
         self._txn_depth = 0
+        self._undo: _UndoLog | None = None
         self._mutation_listeners: list[Callable[[str], None]] = []
         self._journal: Any = None
         self._journal_name = ""
         self._journal_txn: int | None = None
         self._replaying = False
         self._poisoned = False
-        for row in task.rows:
-            self._apply_insert(row, initial=True)
-        self._base_rows = list(task.rows) if retain_base else []
+        delta.commit(task, self._cell_state(), delta.Delta(task.rows),
+                     short_circuit=False)
+        self._base_rows: list[tuple] = list(task.rows) if retain_base else []
 
     # -- public surface ---------------------------------------------------
 
@@ -168,17 +155,13 @@ class MaterializedCube:
 
     @contextlib.contextmanager
     def transaction(self, op: str = "batch") -> Iterator["MaterializedCube"]:
-        """All-or-nothing scope for any sequence of operations.
-
-        On entry the cube's full state (cells, counts, retained base
-        rows, stats) is snapshotted; if the block raises, the snapshot
-        is restored -- scratchpad handles mutate in place, so the
-        snapshot deep-copies them -- the rollback is counted on
+        """All-or-nothing scope for any sequence of operations: if the
+        block raises, the undo log (see the module docstring) is
+        replayed, the rollback counted on
         ``repro_maintenance_rollbacks_total{op=...}``, and the error
-        propagates.  Nested transactions join the outermost one (the
-        outermost snapshot is the only restore point), which is how the
-        per-operation guarantee composes with user batches.
-        """
+        re-raised.  Nested transactions join the outermost one and share
+        its log, which is how the per-operation guarantee composes with
+        user batches."""
         self._check_not_poisoned()
         if self._txn_depth > 0:
             self._txn_depth += 1
@@ -187,10 +170,7 @@ class MaterializedCube:
             finally:
                 self._txn_depth -= 1
             return
-        snapshot = (copy.deepcopy(self._cells),
-                    copy.deepcopy(self._counts),
-                    list(self._base_rows),
-                    copy.deepcopy(self.stats))
+        undo = _UndoLog(self.stats.copy())
         # WAL discipline: the begin record precedes any mutation, and
         # the commit record is written (and fsynced) before the
         # transaction reports success -- inside the try, so a commit
@@ -200,6 +180,7 @@ class MaterializedCube:
             journal_txn = self._journal.txn_begin(self._journal_name)
             self._journal_txn = journal_txn
         self._txn_depth = 1
+        self._undo = undo
         try:
             yield self
             if journal_txn is not None:
@@ -207,20 +188,21 @@ class MaterializedCube:
                     self._journal.txn_commit(journal_txn,
                                              self._journal_name)
                 except BaseException:
-                    # The commit's durability is now *ambiguous*: the
-                    # record can reach the OS before the barrier
-                    # fails, so a later crash may recover this
-                    # transaction as committed even though the caller
-                    # sees an error and the in-memory state rolls
-                    # back.  Serving the rolled-back state would then
-                    # diverge from recovery, so the cube poisons
-                    # itself -- no more reads or writes until the
-                    # store is reopened and replayed (the same
-                    # panic-on-fsync-failure discipline as the WAL).
+                    # The commit's durability is now *ambiguous*: a
+                    # later crash may recover it as committed while the
+                    # in-memory state rolls back, so the cube poisons
+                    # itself until the store is reopened and replayed
+                    # (the WAL's panic-on-fsync-failure discipline).
                     self._poisoned = True
                     raise
         except BaseException as error:
-            self._cells, self._counts, self._base_rows, self.stats = snapshot
+            delta.restore(self._cell_state(), undo.cells)
+            for entry in reversed(undo.base_rows):
+                if entry is None:
+                    self._base_rows.pop()
+                else:
+                    self._base_rows.insert(*entry)
+            self.stats = undo.stats
             if journal_txn is not None:
                 # best effort: a poisoned WAL (torn append, failed
                 # fsync) refuses the abort record; recovery skips
@@ -238,6 +220,7 @@ class MaterializedCube:
         finally:
             self._txn_depth = 0
             self._journal_txn = None
+            self._undo = None
 
     def apply_batch(self, operations: Sequence[tuple]) -> int:
         """Apply ``operations`` -- ``("insert", row)``,
@@ -246,31 +229,27 @@ class MaterializedCube:
         in the batch rolls every prior operation back."""
         with trace.span("maintenance.batch", operations=len(operations)):
             with self.transaction(op="batch"):
-                touched = 0
-                for operation in operations:
-                    kind = operation[0]
-                    if kind == "insert":
-                        touched += self.insert(operation[1])
-                    elif kind == "delete":
-                        touched += self.delete(operation[1])
-                    elif kind == "update":
-                        touched += self.update(operation[1], operation[2])
-                    else:
-                        raise MaintenanceError(
-                            f"unknown batch operation {kind!r}; "
-                            "use insert/delete/update")
+                touched = sum(map(self._run, operations))
             self._notify_mutation("batch")
             return touched
+
+    def _run(self, operation: tuple) -> int:
+        kind = operation[0]
+        if kind == "insert":
+            return self.insert(operation[1])
+        if kind == "delete":
+            return self.delete(operation[1])
+        if kind == "update":
+            return self.update(operation[1], operation[2])
+        raise MaintenanceError(
+            f"unknown operation {kind!r}; use insert/delete/update")
 
     def insert(self, row: Sequence[Any]) -> int:
         """Propagate one base-table INSERT; returns cells touched."""
         with trace.span("maintenance.insert") as span:
             with self.transaction(op="insert"):
                 self._journal_record(("insert", tuple(row)))
-                task_row = self._to_task_row(row)
-                touched = self._apply_insert(task_row, initial=False)
-                if self.retain_base:
-                    self._base_rows.append(task_row)
+                touched, _ = self._apply([self._task_row(row)], ())
             span.set(cells_touched=touched)
         self.stats.inserts += 1
         self.stats.per_operation_touched.append(touched)
@@ -281,61 +260,14 @@ class MaterializedCube:
     def delete(self, row: Sequence[Any]) -> int:
         """Propagate one base-table DELETE; returns cells touched.
 
-        Raises :class:`DeleteRequiresRecomputeError` when a
-        delete-holistic aggregate needs a recompute but the base data
-        was not retained (``retain_base=False``) -- in which case the
-        whole operation rolls back, so super-cells already decremented
-        by the lattice walk are restored rather than left inconsistent.
-        """
+        Raises :class:`DeleteRequiresRecomputeError`, before any cell
+        changed, when a delete-holistic aggregate needs a recompute but
+        the base was not retained (``retain_base=False``)."""
         with trace.span("maintenance.delete") as span:
             with self.transaction(op="delete"):
                 self._journal_record(("delete", tuple(row)))
-                task_row = self._to_task_row(row)
-                if self.retain_base:
-                    try:
-                        self._base_rows.remove(task_row)
-                    except ValueError:
-                        raise MaintenanceError(
-                            f"delete of a row not present in the base: "
-                            f"{row!r}") from None
-                touched = 0
-                recomputed = 0
-                dim_values = self._task.dim_values(task_row)
-                agg_values = self._task.agg_values(task_row)
-                for mask in self._task.masks:
-                    coordinate = self._task.coordinate(mask, dim_values)
-                    cells = self._cells[mask]
-                    counts = self._counts[mask]
-                    if coordinate not in cells:
-                        raise MaintenanceError(
-                            f"delete hit a missing cube cell {coordinate}")
-                    counts[coordinate] -= 1
-                    if counts[coordinate] == 0:
-                        del cells[coordinate]
-                        del counts[coordinate]
-                        touched += 1
-                        continue
-                    handles = cells[coordinate]
-                    needs_recompute = False
-                    for position, spec in enumerate(self._specs):
-                        fn = spec.function
-                        value = agg_values[position]
-                        if not fn.accepts(value):
-                            continue
-                        new_handle, supported = fn.unapply(handles[position],
-                                                           value)
-                        if supported:
-                            handles[position] = new_handle
-                        else:
-                            needs_recompute = True
-                            break
-                    if needs_recompute:
-                        self._recompute_cell(mask, coordinate)
-                        self.stats.cells_recomputed += 1
-                        recomputed += 1
-                    else:
-                        self.stats.cells_updated += 1
-                    touched += 1
+                touched, recomputed = self._apply(
+                    (), [self._task_row(row)], ("delete", row))
             span.set(cells_touched=touched, recomputed=recomputed)
         self.stats.deletes += 1
         self.stats.per_operation_touched.append(touched)
@@ -347,32 +279,29 @@ class MaterializedCube:
         """UPDATE = DELETE + INSERT (Section 6), with routing.
 
         An update that **changes a dimension value** moves the row
-        between cube cells, so it must run as a full DELETE of the old
-        row plus INSERT of the new one -- the old coordinate loses a
-        contributor (possibly emptying), the new one gains one.  Only
-        an update that keeps every dimension value takes the in-place
-        fast path: each affected cell's scratchpads unapply the old
-        measure and fold the new one without count churn.  Within that
-        fast path a delete-holistic aggregate (MIN/MAX whose departing
-        value holds the extreme) declines ``unapply`` and the cell is
-        recomputed from retained base data, exactly like DELETE.
+        between cells, so it runs as a DELETE of the old row plus an
+        INSERT of the new one.  One that keeps every dimension value runs
+        in place, as one delta that deletes the old row and inserts the
+        new one; a cell whose scratchpad declines the delete is
+        recomputed from the retained base, exactly like DELETE.
 
         Either route journals the same delete+insert leaves, so WAL
-        replay converges to the identical state.  Metrics-wise the
-        dim-changing route records its constituent insert and delete as
-        themselves plus one ``update``, mirroring how the paper costs
-        it as the sum of the two; the in-place route records one
-        ``update`` only."""
+        replay converges to the identical state.  The dim-changing route
+        records its insert and delete as themselves plus one ``update``
+        (the paper costs it as the sum of the two); the in-place route
+        records one ``update`` only."""
         with trace.span("maintenance.update") as span:
             in_place = False
             with self.transaction(op="update"):
-                old_task = self._to_task_row(old_row)
-                new_task = self._to_task_row(new_row)
+                old_task = self._task_row(old_row)
+                new_task = self._task_row(new_row)
                 if self._task.dim_values(old_task) \
                         == self._task.dim_values(new_task):
                     in_place = True
-                    touched = self._update_in_place(
-                        old_row, new_row, old_task, new_task)
+                    self._journal_record(("delete", tuple(old_row)))
+                    self._journal_record(("insert", tuple(new_row)))
+                    touched, _ = self._apply([new_task], [old_task],
+                                             ("update", old_row))
                 else:
                     touched = self.delete(old_row)
                     touched += self.insert(new_row)
@@ -382,59 +311,6 @@ class MaterializedCube:
             self.stats.per_operation_touched.append(touched)
         self.stats.note_operation("update", touched)
         self._notify_mutation("update")
-        return touched
-
-    def _update_in_place(self, old_row: Sequence[Any],
-                         new_row: Sequence[Any],
-                         old_task: tuple, new_task: tuple) -> int:
-        """Same-coordinate update: swap the measures inside each
-        affected cell.  Journals the delete+insert leaves (replay knows
-        only those), keeps per-cell counts unchanged, and falls back to
-        :meth:`_recompute_cell` wherever ``unapply`` declines."""
-        self._journal_record(("delete", tuple(old_row)))
-        self._journal_record(("insert", tuple(new_row)))
-        if self.retain_base:
-            try:
-                self._base_rows.remove(old_task)
-            except ValueError:
-                raise MaintenanceError(
-                    f"update of a row not present in the base: "
-                    f"{old_row!r}") from None
-            self._base_rows.append(new_task)
-        dim_values = self._task.dim_values(old_task)
-        old_aggs = self._task.agg_values(old_task)
-        new_aggs = self._task.agg_values(new_task)
-        touched = 0
-        for mask in self._task.masks:
-            coordinate = self._task.coordinate(mask, dim_values)
-            handles = self._cells[mask].get(coordinate)
-            if handles is None:
-                raise MaintenanceError(
-                    f"update hit a missing cube cell {coordinate}")
-            staged = list(handles)
-            needs_recompute = False
-            for position, spec in enumerate(self._specs):
-                fn = spec.function
-                old_value = old_aggs[position]
-                if fn.accepts(old_value):
-                    new_handle, supported = fn.unapply(staged[position],
-                                                       old_value)
-                    if not supported:
-                        needs_recompute = True
-                        break
-                    staged[position] = new_handle
-                new_value = new_aggs[position]
-                if fn.accepts(new_value):
-                    staged[position] = fn.next(staged[position], new_value)
-            if needs_recompute:
-                # base rows already hold the new row, so the rebuild
-                # lands on the post-update state in one pass
-                self._recompute_cell(mask, coordinate)
-                self.stats.cells_recomputed += 1
-            else:
-                handles[:] = staged
-                self.stats.cells_updated += 1
-            touched += 1
         return touched
 
     @property
@@ -481,11 +357,8 @@ class MaterializedCube:
     def value(self, *coords: Any, measure: str | None = None) -> Any:
         """One cell's current value without materializing the table."""
         self._check_not_poisoned()
-        mask = 0
-        for i, coordinate in enumerate(coords):
-            from repro.types import ALL
-            if coordinate is not ALL:
-                mask |= 1 << i
+        mask = sum(1 << i for i, coordinate in enumerate(coords)
+                   if coordinate is not ALL)
         if mask not in self._cells:
             raise MaintenanceError(
                 f"grouping set of {coords} is not materialized")
@@ -548,17 +421,30 @@ class MaterializedCube:
         return {
             "cells": self._cells,
             "counts": self._counts,
+            "accepted": self._accepted,
             "base_rows": self._base_rows,
             "stats": self.stats,
         }
 
     def restore_state(self, state: dict) -> None:
         """Adopt a checkpointed :meth:`capture_state` snapshot,
-        replacing the freshly computed state."""
+        replacing the freshly computed state.
+
+        A checkpoint written before cubes kept accepted-value counts
+        has none; each aggregate that has left ``start()`` is then
+        taken to have accepted every row of its cell, which answers
+        every later delete exactly as the cube that wrote it would."""
         self._cells = state["cells"]
         self._counts = state["counts"]
         self._base_rows = state["base_rows"]
         self.stats = state["stats"]
+        functions = self._task.functions
+        self._accepted = state.get("accepted") or {mask: {
+            coordinate: [0 if handle == fn.start()
+                         else self._counts[mask][coordinate]
+                         for fn, handle in zip(functions, handles)]
+            for coordinate, handles in cells.items()}
+            for mask, cells in self._cells.items()}
 
     def apply_replay(self, operations: Sequence[tuple]) -> int:
         """Re-apply one committed transaction's journaled operations
@@ -570,99 +456,76 @@ class MaterializedCube:
         leaves.)"""
         self._replaying = True
         try:
-            touched = 0
             with self.transaction(op="replay"):
-                for operation in operations:
-                    kind = operation[0]
-                    if kind == "insert":
-                        touched += self.insert(list(operation[1]))
-                    elif kind == "delete":
-                        touched += self.delete(list(operation[1]))
-                    else:
-                        raise MaintenanceError(
-                            f"unknown journaled operation {kind!r}; "
-                            "the write-ahead log only carries "
-                            "insert/delete leaves")
-            return touched
+                return sum(map(self._run, operations))
         finally:
             self._replaying = False
 
     # -- internals ----------------------------------------------------------
 
-    def _to_task_row(self, row: Sequence[Any]) -> tuple:
-        if len(row) != len(self._source_names):
-            raise MaintenanceError(
-                f"row has {len(row)} values; base table has "
-                f"{len(self._source_names)} columns")
-        context = dict(zip(self._source_names, row))
-        dim_values = tuple(expr.evaluate(context) for expr, _ in self._keys)
-        agg_values = tuple(spec.evaluate_input(context)
-                           for spec in self._specs)
-        return dim_values + agg_values
+    def _cell_state(self) -> delta.Cells:
+        return delta.Cells(self._cells, self._counts, self._accepted)
 
-    def _apply_insert(self, task_row: tuple, *, initial: bool) -> int:
-        """Walk the lattice fine-to-coarse folding the new record in,
-        pruning per-aggregate below cells where the value is dominated."""
-        dim_values = self._task.dim_values(task_row)
-        agg_values = self._task.agg_values(task_row)
-        n_aggs = len(self._specs)
-        # per-aggregate set of masks pruned by the short-circuit
-        pruned: list[set[Mask]] = [set() for _ in range(n_aggs)]
-        touched = 0
-        for level_masks in self._lattice.by_level_descending():
-            for mask in level_masks:
-                coordinate = self._task.coordinate(mask, dim_values)
-                cells = self._cells[mask]
-                counts = self._counts[mask]
-                handles = cells.get(coordinate)
-                if handles is None:
-                    handles = [spec.function.start() for spec in self._specs]
-                    cells[coordinate] = handles
-                    counts[coordinate] = 0
-                counts[coordinate] += 1
-                cell_active = False
-                for position, spec in enumerate(self._specs):
-                    if mask in pruned[position]:
-                        self.stats.cells_short_circuited += not initial
-                        continue
-                    fn = spec.function
-                    value = agg_values[position]
-                    if not fn.accepts(value):
-                        continue
-                    if not initial and self.short_circuit \
-                            and fn.insert_dominated(handles[position],
-                                                    value):
-                        # prune every coarser cell for this aggregate
-                        for descendant in self._lattice.descendants(mask):
-                            pruned[position].add(descendant)
-                        continue
-                    handles[position] = fn.next(handles[position], value)
-                    cell_active = True
-                if cell_active or initial:
-                    touched += 1
-                    if not initial:
-                        self.stats.cells_updated += 1
-        return touched
+    def _task_row(self, row: Sequence[Any]) -> tuple:
+        return source_task_row(self._source_names, self._keys, self._specs,
+                               row)
 
-    def _recompute_cell(self, mask: Mask, coordinate: tuple) -> None:
-        """Rebuild one cell's scratchpads from retained base rows --
-        the delete-holistic path of Section 6."""
-        if not self.retain_base:
+    def _apply(self, inserts: Sequence[tuple], deletes: Sequence[tuple],
+               source: tuple = ()) -> tuple[int, int]:
+        """Move one delta of task rows through the retained base and the
+        cells, then rebuild each cell that declined the deletes from the
+        base.  ``source`` is ``(op, raw row)`` for a missing-row error.
+        Returns cells touched and cells recomputed."""
+        undo = self._undo
+        assert undo is not None, "cell changes need a transaction"
+        if self.retain_base:
+            for task_row in deletes:
+                index = _find_row(self._base_rows, task_row)
+                if index is None:
+                    raise MaintenanceError(
+                        f"{source[0]} of a row not present in the base: "
+                        f"{source[1]!r}")
+                undo.base_rows.append((index, self._base_rows.pop(index)))
+            self._base_rows.extend(inserts)
+            undo.base_rows.extend([None] * len(inserts))
+        cells = self._cell_state()
+        staged = delta.stage(self._task, cells, inserts, deletes)
+        if staged.declined and not self.retain_base:
+            (_, coordinate), why = next(iter(staged.declined.items()))
             raise DeleteRequiresRecomputeError(
-                f"cell {coordinate} needs recomputation (delete-holistic "
-                "aggregate) but retain_base=False")
-        handles = [spec.function.start() for spec in self._specs]
-        scanned = 0
-        for task_row in self._base_rows:
-            scanned += 1
-            if self._task.coordinate(mask, self._task.dim_values(task_row)) \
-                    != coordinate:
-                continue
-            agg_values = self._task.agg_values(task_row)
-            for position, spec in enumerate(self._specs):
-                fn = spec.function
-                value = agg_values[position]
-                if fn.accepts(value):
-                    handles[position] = fn.next(handles[position], value)
-        self._cells[mask][coordinate] = handles
-        self.stats.rows_rescanned += scanned
+                f"cell {coordinate} needs recomputation ({why}) but "
+                "retain_base=False")
+        outcome = delta.commit(self._task, cells, staged,
+                               short_circuit=self.short_circuit,
+                               undo=undo.cells)
+        # the delete-holistic path of Section 6: rebuild from the base
+        for key in staged.declined:
+            self.stats.rows_rescanned += delta.rebuild(
+                self._task, cells, key, self._base_rows, undo.cells)
+        self.stats.cells_recomputed += len(staged.declined)
+        self.stats.cells_updated += outcome.updated
+        self.stats.cells_short_circuited += outcome.short_circuited
+        return outcome.touched, len(staged.declined)
+
+
+@dataclass
+class _UndoLog:
+    stats: MaintenanceStats
+    #: cells' prior states, written by :func:`repro.compute.delta.commit`
+    cells: dict = field(default_factory=dict)
+    #: retained base-row changes: None (append) or ``(index, row)``
+    base_rows: list = field(default_factory=list)
+
+
+def _find_row(rows: list[tuple], row: tuple) -> int | None:
+    """Index of the first of ``rows`` equal to ``row``, NaN equal to NaN:
+    a row replayed from the write-ahead log has NaN objects of its own,
+    which ``==`` never matches."""
+    if all(value == value for value in row):  # no NaN
+        try:
+            return rows.index(row)
+        except ValueError:
+            return None
+    same = lambda a, b: a == b or (a != a and b != b)  # noqa: E731
+    return next((index for index, candidate in enumerate(rows)
+                 if all(map(same, candidate, row))), None)

@@ -9,7 +9,7 @@ base table.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.obs import instrument
 
@@ -46,6 +46,12 @@ class MaintenanceStats:
     #: existing callers, old entries fall off the left)
     per_operation_touched: deque = field(
         default_factory=lambda: deque(maxlen=PER_OPERATION_WINDOW))
+
+    def copy(self) -> "MaintenanceStats":
+        """An independent copy (a transaction's undo log keeps one)."""
+        return replace(self, per_operation_touched=deque(
+            self.per_operation_touched,
+            maxlen=self.per_operation_touched.maxlen))
 
     def summary(self) -> str:
         return (f"inserts={self.inserts} deletes={self.deletes} "

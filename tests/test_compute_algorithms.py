@@ -159,6 +159,20 @@ class TestArray:
         reference = NaiveUnionAlgorithm().compute(task).table
         assert ArrayCubeAlgorithm().compute(task).table.equals_bag(reference)
 
+    def test_integral_float_results_stay_floats(self):
+        # the row path's SUM of 1.5 + 2.5 is 4.0, and MIN/MAX over
+        # floats return floats: repr-identical, not merely equal
+        from repro.aggregates import Max, Min
+        table = Table([("g", "STRING"), ("x", "FLOAT")],
+                      [("a", 1.5), ("a", 2.5), ("b", 2.0)])
+        task = make_task(table, ["g"], [AggregateSpec(Sum(), "x", "s"),
+                                        AggregateSpec(Min(), "x", "lo"),
+                                        AggregateSpec(Max(), "x", "hi")])
+        reference = NaiveUnionAlgorithm().compute(task).table
+        result = ArrayCubeAlgorithm().compute(task).table
+        assert sorted(map(repr, result.rows)) == \
+            sorted(map(repr, reference.rows))
+
     def test_empty_input(self):
         table = Table([("g", "STRING"), ("x", "INTEGER")])
         task = make_task(table, ["g"], [AggregateSpec(Sum(), "x", "u")])

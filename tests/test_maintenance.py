@@ -240,6 +240,46 @@ class TestUpdate:
         assert live.as_table().equals_bag(replayed.as_table())
 
 
+FLOAT_SCHEMA = [("g", "STRING"), ("x", "FLOAT")]
+
+
+def _float_cube(rows):
+    table = Table(FLOAT_SCHEMA, rows)
+    # no MIN/MAX: their declined unapply would rebuild the whole cell
+    # and hide what SUM/AVG/COUNT do on their own
+    aggs = [agg("SUM", "x", "s"), agg("AVG", "x", "a"),
+            agg("COUNT", "x", "n")]
+    return MaterializedCube(table, ["g"], aggs), aggs
+
+
+def _cells(table):
+    return sorted(repr(tuple(row)) for row in table.rows)
+
+
+class TestMatchesColdCube:
+    """After a delete or update the cube answers what a cold ``cube()``
+    over the surviving rows answers, cell for cell and repr for repr."""
+
+    def test_delete_of_a_nan_row(self):
+        # NaN - NaN is NaN: SUM/AVG cannot unapply it, so the cell is
+        # rebuilt from the retained rows
+        nan_row = ("x", float("nan"))
+        mc, aggs = _float_cube([("x", 1.0), nan_row, ("y", 2.5)])
+        mc.delete(nan_row)
+        cold = cube_op(Table(FLOAT_SCHEMA, [("x", 1.0), ("y", 2.5)]),
+                       ["g"], aggs)
+        assert _cells(mc.as_table()) == _cells(cold)
+
+    def test_update_of_the_last_value_to_null(self):
+        # the cell keeps two rows but no non-NULL value: SUM/AVG are
+        # NULL again and COUNT is 0, not SUM = 0
+        mc, aggs = _float_cube([("x", 1), ("x", None)])
+        mc.update(("x", 1), ("x", None))
+        cold = cube_op(Table(FLOAT_SCHEMA, [("x", None), ("x", None)]),
+                       ["g"], aggs)
+        assert _cells(mc.as_table()) == _cells(cold)
+
+
 class TestStatsWindow:
     def test_per_operation_trail_is_bounded(self, base):
         from repro.maintenance.propagation import PER_OPERATION_WINDOW

@@ -17,7 +17,9 @@ AGGS = [agg("SUM", "x", "s"), agg("COUNT", "*", "n"),
 row_strategy = st.tuples(
     st.sampled_from(["a", "b", "c"]),
     st.sampled_from(["p", "q"]),
-    st.integers(-20, 20))
+    # NULL measures: a cell whose non-NULL values all leave must finalize
+    # SUM/MIN/MAX/AVG to NULL like a recompute, not to 0
+    st.one_of(st.integers(-20, 20), st.none()))
 
 
 def exact_clean(table):
@@ -52,6 +54,38 @@ def test_cube_stays_consistent_under_random_streams(initial, operations):
 
     expected_table = Table(base.schema, shadow)
     assert mc.as_table().equals_bag(exact_clean(expected_table))
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial=st.lists(row_strategy, min_size=0, max_size=10),
+       operations=st.lists(
+           st.tuples(st.sampled_from(["insert", "delete", "update"]),
+                     row_strategy, row_strategy),
+           min_size=1, max_size=20))
+def test_reversible_aggregates_match_recompute(initial, operations):
+    """SUM/COUNT/AVG never decline a delete, so no cell is rebuilt from
+    base rows: the scratchpads alone must reach the recompute's answer,
+    NULL included, through deletes and in-place updates."""
+    aggs = [agg("SUM", "x", "s"), agg("COUNT", "x", "n"),
+            agg("AVG", "x", "a")]
+    base = Table([("d0", "STRING"), ("d1", "STRING"), ("x", "INTEGER")],
+                 initial)
+    mc = MaterializedCube(base, DIMS, aggs)
+    shadow = list(initial)
+    for op, row, other in operations:
+        if op == "insert":
+            mc.insert(row)
+            shadow.append(row)
+        elif row in shadow:
+            if op == "delete":
+                mc.delete(row)
+            else:  # keep the dimensions: the in-place update route
+                other = row[:2] + other[2:]
+                mc.update(row, other)
+                shadow.append(other)
+            shadow.remove(row)
+    expected = cube_op(Table(base.schema, shadow), DIMS, aggs)
+    assert mc.as_table().equals_bag(expected)
 
 
 @settings(max_examples=25, deadline=None)
