@@ -25,8 +25,8 @@ def task_for(table, fn):
 
 
 @pytest.mark.parametrize("function,expected", [
-    ("SUM", "array"),
-    ("AVG", "from-core"),
+    ("SUM", "columnar"),
+    ("AVG", "columnar"),
     ("MEDIAN", "2^N"),
 ], ids=["distributive", "algebraic", "holistic"])
 def test_optimizer_routes_by_class(benchmark, medium_fact, function,
@@ -38,6 +38,9 @@ def test_optimizer_routes_by_class(benchmark, medium_fact, function,
     result = benchmark(cube_with_stats, medium_fact, ["d0", "d1", "d2"],
                        aggregates)
     assert result.stats.algorithm == expected
+    if expected == "columnar":  # 2,000 rows: past COLUMNAR_ROW_THRESHOLD
+        assert result.stats.notes["route"] == "dense"
+        assert result.stats.base_scans == 1
 
 
 def test_holistic_pays_txn_iter_calls(benchmark, medium_fact):

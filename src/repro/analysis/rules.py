@@ -430,7 +430,7 @@ def s004_exception_taxonomy(
 # -- S005 ----------------------------------------------------------------------
 
 #: Modules allowed to import numpy (behind an ImportError guard).
-_NUMPY_ALLOWED = ("compute/columnar/batch.py", "compute/array_cube.py")
+_NUMPY_ALLOWED = ("compute/columnar/batch.py",)
 
 
 def _imports_numpy(node: ast.stmt) -> bool:

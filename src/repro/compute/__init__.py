@@ -14,9 +14,10 @@ can be verified exactly:
   derive each super-aggregate from its *smallest parent* by merging
   scratchpads (Iter_super); needs mergeable (distributive/algebraic)
   functions.
-- :class:`ArrayCubeAlgorithm` -- dense N-dimensional numpy array for
-  distributive functions over enumerable dimensions, projecting one
-  dimension at a time, smallest first.
+- :class:`ArrayCubeAlgorithm` -- the Section 5 dense N-dimensional
+  array for distributive functions over numeric inputs, projecting one
+  dimension at a time, smallest first: the columnar backend's dense
+  route, pinned.
 - :class:`SortCubeAlgorithm` -- sort-based: covers the cube lattice
   with rollup *chains* (symmetric chain decomposition), one sort per
   chain, pipelined prefix aggregation.

@@ -71,8 +71,6 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
     - ``dense_budget``: max dense slots (``prod(Ci+1)``) before the
       sparse route takes over (``mode="auto"``);
     - ``mode``: ``"auto"`` | ``"dense"`` | ``"sparse"`` route pin;
-    - ``projection_order``: ``"smallest"`` (the paper's rule) or
-      ``"largest"`` (ablation) for the dense projections;
     - ``force_python``: skip numpy even when importable.
     """
 
@@ -80,17 +78,12 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
     def __init__(self, dense_budget: int = 1 << 20, *,
                  mode: str = "auto",
-                 projection_order: str = "smallest",
                  force_python: bool = False) -> None:
         if mode not in ("auto", "dense", "sparse"):
             # constructor-arg validation, documented as ValueError
             raise ValueError(f"mode must be auto|dense|sparse, got {mode!r}")  # repro: allow-S004
-        if projection_order not in ("smallest", "largest"):
-            raise ValueError("projection_order must be smallest|largest, "  # repro: allow-S004
-                             f"got {projection_order!r}")
         self.dense_budget = dense_budget
         self.mode = mode
-        self.projection_order = projection_order
         self.force_python = force_python
 
     # -- top level ------------------------------------------------------------
@@ -248,8 +241,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
             stats.iter_calls += state.scatter(slots, column)
             states.append(state)
 
-        order = sorted(range(n), key=lambda i: cards[i],
-                       reverse=self.projection_order == "largest")
+        order = sorted(range(n), key=lambda i: cards[i])
         stats.notes["projection_order"] = [task.dims[i] for i in order]
         for axis in order:
             rctx.checkpoint("columnar projection axis")
@@ -281,37 +273,19 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
         stats.observe_resident(dense_slots * (2 * task.n_aggs + 1))
 
-        if xp is not None:  # the walk below reads them slot by slot
-            counts, first = counts.tolist(), first.tolist()
         built = list(zip(task.functions, states))
         finalized = []
         for mask in task.masks:
+            flats, firsts = _occupied(mask, counts, first, shape, xp)
             grouped = [i for i in range(n) if mask & (1 << i)]
-            base = sum(cards[i] * strides[i]
-                       for i in range(n) if not mask & (1 << i))
-            index = [0] * len(grouped)
-            while True:
-                flat = base + sum(index[j] * strides[i]
-                                  for j, i in enumerate(grouped))
-                if counts[flat] > 0:
-                    coordinate: list = [ALL] * n
-                    row = rows[first[flat]]
-                    for i in grouped:
-                        coordinate[i] = row[i]
-                    values = tuple(fn.end(state.handle(flat))
-                                   for fn, state in built)
-                    stats.end_calls += len(built)
-                    finalized.append((tuple(coordinate), values))
-                # odometer over the grouped dimensions' real slots
-                position = len(grouped) - 1
-                while position >= 0:
-                    index[position] += 1
-                    if index[position] < cards[grouped[position]]:
-                        break
-                    index[position] = 0
-                    position -= 1
-                else:
-                    break
+            for flat, first_row in zip(flats, firsts):
+                coordinate: list = [ALL] * n
+                row = rows[first_row]
+                for i in grouped:
+                    coordinate[i] = row[i]
+                finalized.append((tuple(coordinate), tuple(
+                    fn.end(state.handle(flat)) for fn, state in built)))
+            stats.end_calls += len(flats) * len(built)
 
         rctx.release_cells(dense_slots)
         return finalized
@@ -325,3 +299,49 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         nodes = {core_mask: dict(zip(cells.coordinates, cells.handles))}
         fold_super_aggregates(task, nodes, stats)
         return finalize_nodes(task, nodes, stats)
+
+
+def _occupied(mask: int, counts, first, shape: tuple[int, ...], xp
+              ) -> tuple[list[int], list[int]]:
+    """The flat offsets of ``mask``'s non-empty cells in ascending
+    order, with each cell's first input row.
+
+    A mask's cells are the slots holding a real index on its grouped
+    dimensions and the ALL index ``Ci`` on the rest.  numpy takes
+    ``flatnonzero`` over that sub-block, so it touches only occupied
+    slots; pure python walks the sub-block with an odometer.  Both
+    yield the same row-major order.
+    """
+    n = len(shape)
+    strides = dense_strides(shape)
+    grouped = [i for i in range(n) if mask & (1 << i)]
+    base = sum((shape[i] - 1) * strides[i]
+               for i in range(n) if not mask & (1 << i))
+    if xp is not None:
+        block = counts.reshape(shape)[tuple(
+            slice(0, shape[i] - 1) if mask & (1 << i) else shape[i] - 1
+            for i in range(n))]
+        hits = xp.flatnonzero(block)
+        flats = xp.full(hits.shape, base, dtype=xp.int64)
+        for i in reversed(grouped):  # unravel the block's row-major index
+            hits, index = xp.divmod(hits, shape[i] - 1)
+            flats += index * strides[i]
+        return flats.tolist(), first[flats].tolist()
+    flats = []
+    index = [0] * len(grouped)
+    while True:
+        flat = base + sum(index[j] * strides[i]
+                          for j, i in enumerate(grouped))
+        if counts[flat] > 0:
+            flats.append(flat)
+        # odometer over the grouped dimensions' real slots
+        position = len(grouped) - 1
+        while position >= 0:
+            index[position] += 1
+            if index[position] < shape[grouped[position]] - 1:
+                break
+            index[position] = 0
+            position -= 1
+        else:
+            break
+    return flats, [first[flat] for flat in flats]

@@ -9,10 +9,10 @@ relation and provides exactly those.
 The module also holds the *dense array* addressing arithmetic from
 Section 5 ("each dimension having size Ci+1"): mixed-radix shapes,
 row-major strides, flat offsets, and the slab iteration that projects
-one dimension of the core into its ALL slab.  Both the numpy array
-algorithm and the columnar backend's dense super-aggregate fold address
-cells through these helpers, so the ALL-slot convention (index ``Ci``)
-lives in exactly one place.
+one dimension of the core into its ALL slab.  The columnar backend's
+dense route (which the array algorithm runs) addresses cells through
+these helpers, so the ALL-slot convention (index ``Ci``) lives in
+exactly one place.
 """
 
 from __future__ import annotations

@@ -54,12 +54,6 @@ class TestS005:
                 except ImportError:
                     np = None
             """,
-            "src/repro/compute/array_cube.py": """
-                try:
-                    from numpy import zeros
-                except ImportError:
-                    zeros = None
-            """,
         }, rules=["S005"])
         assert_clean(report, "S005")
 

@@ -179,6 +179,27 @@ class TestArray:
         result = ArrayCubeAlgorithm().compute(task).table
         assert result.rows == [(ALL, None)]
 
+    @pytest.mark.parametrize("backend", ["installed", "python"])
+    @pytest.mark.parametrize("rows,function", [
+        ([("a", 2 ** 53), ("a", 1), ("b", 3)], "SUM"),  # past float64
+        ([("a", 2 ** 53 + 1), ("b", 3)], "MAX"),
+        ([("a", -0.0)], "SUM"),
+        ([("a", 3.0), ("a", 2), ("b", 1)], "MAX"),  # mixed int/float
+    ], ids=["sum-2^53", "max-2^53", "sum-negative-zero", "max-mixed"])
+    def test_exact_like_the_row_path(self, rows, function, backend,
+                                     monkeypatch):
+        from repro.aggregates import Max
+        from repro.compute.columnar import batch
+        if backend == "python":
+            monkeypatch.setattr(batch, "_numpy", None)
+        fn = Sum() if function == "SUM" else Max()
+        table = Table([("d", "STRING"), ("v", "ANY")], rows)
+        task = make_task(table, ["d"], [AggregateSpec(fn, "v", "x")])
+        reference = NaiveUnionAlgorithm().compute(task).table
+        result = ArrayCubeAlgorithm().compute(task).table
+        assert sorted(map(repr, result.rows)) == \
+            sorted(map(repr, reference.rows))
+
 
 class TestSort:
     def test_matches_reference(self, task, reference):

@@ -200,8 +200,6 @@ class TestColumnarAlgorithm:
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
             ColumnarCubeAlgorithm(mode="bogus")
-        with pytest.raises(ValueError):
-            ColumnarCubeAlgorithm(projection_order="bogus")
 
     def test_auto_routes_by_dense_budget(self):
         task = make_task(self.ROWS, self.SPECS)
@@ -237,15 +235,6 @@ class TestColumnarAlgorithm:
         from repro.compute import NaiveUnionAlgorithm
         assert result.table.equals_bag(
             NaiveUnionAlgorithm().compute(task).table)
-
-    def test_projection_order_ablation_agrees(self):
-        task = make_task(self.ROWS, self.SPECS)
-        smallest = ColumnarCubeAlgorithm(mode="dense").compute(task)
-        largest = ColumnarCubeAlgorithm(
-            mode="dense", projection_order="largest").compute(task)
-        assert smallest.table.equals_bag(largest.table)
-        assert smallest.stats.notes["projection_order"] != \
-            largest.stats.notes["projection_order"] or True  # ties allowed
 
     def test_numpy_backend_helper(self):
         assert numpy_backend(force_python=True) is None
