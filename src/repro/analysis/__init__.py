@@ -1,6 +1,6 @@
 """Engine invariant analyzer + lock-order sanitizer.
 
-Where :mod:`repro.lint` checks *queries* against the paper's semantics
+Where the query linter checks *queries* against the paper's semantics
 (C001-C010), this package checks the *engine's own source* against the
 invariants that keep its subsystems coherent (S001-S010), and its
 runtime half (:mod:`repro.analysis.locktrack`) watches the serve
@@ -20,7 +20,8 @@ Library use::
 
 Exports resolve lazily (PEP 562): the serve layer imports
 :mod:`repro.analysis.locktrack` on its hot path, and that import must
-not drag the whole analyzer (and its :mod:`repro.lint` dependency) into
+not drag the whole analyzer (its AST rules and the
+:mod:`repro.diagnostics` core it shares with the query linter) into
 every server process.
 
 See ``docs/ANALYSIS.md`` for the rule catalogue and suppression syntax.
@@ -33,7 +34,6 @@ from typing import Any
 __all__ = [
     "AnalysisProject",
     "AnalysisReport",
-    "AnalysisRule",
     "Analyzer",
     "Finding",
     "LockOrderViolation",
@@ -47,7 +47,6 @@ __all__ = [
 _EXPORTS = {
     "AnalysisProject": "repro.analysis.project",
     "AnalysisReport": "repro.analysis.diagnostics",
-    "AnalysisRule": "repro.analysis.rules",
     "Analyzer": "repro.analysis.engine",
     "Finding": "repro.analysis.diagnostics",
     "LockOrderViolation": "repro.analysis.locktrack",

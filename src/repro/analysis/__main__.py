@@ -1,17 +1,6 @@
 """``python -m repro.analysis`` entry point."""
 
-from __future__ import annotations
-
-import sys
-
 from repro.analysis.cli import main
 
 if __name__ == "__main__":
-    try:
-        code = main()
-    except BrokenPipeError:
-        # output was piped to a consumer that closed early (e.g. head);
-        # exit quietly like other unix filters
-        sys.stderr.close()
-        code = 0
-    raise SystemExit(code)
+    raise SystemExit(main())

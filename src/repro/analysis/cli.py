@@ -7,7 +7,8 @@ Usage::
     python -m repro.analysis src/repro --rules S002,S003 --format json
     python -m repro.analysis --list-rules
 
-Exit codes (stable, for CI gating -- shared with ``repro.lint``):
+Exit codes (stable, for CI gating -- shared with the query linter
+via :func:`repro.diagnostics.run_cli`):
 
 - ``0`` -- no error-severity findings (warnings allowed);
 - ``1`` -- at least one error-severity finding (including parse
@@ -19,88 +20,38 @@ Exit codes (stable, for CI gating -- shared with ``repro.lint``):
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Sequence
+from typing import Optional, Sequence
 
+from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.engine import Analyzer
 from repro.analysis.project import AnalysisProject
 from repro.analysis.rules import RULES
-from repro.cliutil import (
-    EXIT_FINDINGS,
-    EXIT_OK,
-    EXIT_USAGE,
-    CLIUsageError,
-    add_format_argument,
-    parse_rule_selection,
-)
-from repro.errors import AnalysisError
+from repro.diagnostics import run_cli
 
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Engine invariant analyzer: AST-based checks "
-                    "S001-S010 over this repository's own source.")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to analyze "
-                             "(e.g. src/repro benchmarks)")
-    parser.add_argument("--rules", default=None, metavar="CODES",
-                        help="comma-separated rule codes to run "
-                             "(default: all)")
-    add_format_argument(parser)
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--project-root", default=None, metavar="DIR",
                         help="project root for docs/tests cross-"
                              "references (default: auto-detected from "
                              "the first path)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    return parser
+
+
+def _reports(args: argparse.Namespace, codes: Optional[list[str]]
+             ) -> list[tuple[AnalysisReport, str]]:
+    analyzer = Analyzer(rules=codes)
+    project = AnalysisProject(args.paths, root=args.project_root)
+    return [(analyzer.analyze(project), " ".join(args.paths))]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        # argparse exits 2 on usage errors, 0 on --help: preserve both
-        return int(exit_.code or 0)
-
-    if args.list_rules:
-        for code in sorted(RULES):
-            registered = RULES[code]
-            print(f"{code}  {registered.slug:<22} "
-                  f"({registered.severity}) {registered.summary}")
-        return EXIT_OK
-
-    if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("error: no paths to analyze (try: src/repro)",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        rules = parse_rule_selection(args.rules)
-        analyzer = Analyzer(rules=rules)
-        project = AnalysisProject(args.paths, root=args.project_root)
-    except CLIUsageError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except AnalysisError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-
-    report = analyzer.analyze(project)
-    location = " ".join(args.paths)
-    if args.format == "json":
-        print(report.format_json(location=location))
-    else:
-        print(report.format_text(location=location))
-        if report.findings:
-            print(f"{len(report.errors())} error(s), "
-                  f"{len(report.warnings())} warning(s)")
-    return EXIT_OK if report.ok else EXIT_FINDINGS
+    return run_cli(
+        argv, prog="python -m repro.analysis",
+        description="Engine invariant analyzer: AST-based checks "
+                    "S001-S010 over this repository's own source.",
+        paths_help="files or directories to analyze "
+                   "(e.g. src/repro benchmarks)",
+        no_paths="no paths to analyze (try: src/repro)",
+        rules=RULES, add_arguments=_add_arguments, reports=_reports,
+        tally=True)

@@ -4,22 +4,21 @@ A :class:`Finding` is one violation of an engine invariant: a stable
 rule code (``S001``...), a severity, a human-readable message stating
 *what* is wrong, a ``why`` stating which engine contract the invariant
 protects, and a precise ``path:line`` anchor.  :class:`AnalysisReport`
-is the ordered collection with the filtering/formatting helpers the CLI
-and CI gate use.
+is the shared :class:`repro.diagnostics.Report` ordered by location,
+the form the CLI and CI gate use.
 
 Severity semantics are shared with the query linter
-(:class:`repro.lint.diagnostics.Severity`): ``ERROR`` findings fail the
-CI gate (exit code 1), ``WARNING`` findings are reported but do not
-block, ``INFO`` findings are advisory.
+(:class:`repro.diagnostics.Severity`): ``ERROR`` findings fail the CI
+gate (exit code 1), ``WARNING`` findings are reported but do not block,
+``INFO`` findings are advisory.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any
 
-from repro.lint.diagnostics import Severity
+from repro.diagnostics import Report, Severity
 
 __all__ = ["Finding", "AnalysisReport", "Severity"]
 
@@ -43,7 +42,9 @@ class Finding:
             return "<project>"
         return f"{self.path}:{self.line}" if self.line else self.path
 
-    def format_line(self) -> str:
+    def format_line(self, *, location: str = "") -> str:
+        """One-line rendering; the finding's own :attr:`anchor` says
+        where it is, so the report's ``location`` is not repeated."""
         fix = f" (fix: {self.suggestion})" if self.suggestion else ""
         why = f" [why: {self.why}]" if self.why else ""
         return (f"{self.anchor}: {self.code} {self.severity}: "
@@ -62,64 +63,12 @@ class Finding:
         }
 
 
-@dataclass
-class AnalysisReport:
-    """An ordered collection of findings for one analyzer run."""
+class AnalysisReport(Report[Finding]):
+    """The findings of one analyzer run, in file and line order."""
 
-    findings: list[Finding] = field(default_factory=list)
+    records_key = "findings"
+    location_key = "target"
 
-    def append(self, finding: Finding) -> None:
-        self.findings.append(finding)
-
-    def extend(self, findings: Iterable[Finding]) -> None:
-        self.findings.extend(findings)
-
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings
-                if f.severity is Severity.WARNING]
-
-    def codes(self) -> set[str]:
-        return {f.code for f in self.findings}
-
-    def by_location(self) -> list[Finding]:
-        return sorted(self.findings,
-                      key=lambda f: (f.path, f.line, f.code))
-
-    @property
-    def clean(self) -> bool:
-        """True when no findings at all were produced."""
-        return not self.findings
-
-    @property
-    def ok(self) -> bool:
-        """True when no *error*-severity findings were produced."""
-        return not self.errors()
-
-    def format_text(self, *, location: str = "") -> str:
-        if self.clean:
-            prefix = f"{location}: " if location else ""
-            return f"{prefix}clean"
-        return "\n".join(f.format_line() for f in self.by_location())
-
-    def format_json(self, *, location: str = "") -> str:
-        payload: dict[str, Any] = {
-            "findings": [f.to_dict() for f in self.by_location()],
-            "errors": len(self.errors()),
-            "warnings": len(self.warnings()),
-            "ok": self.ok,
-        }
-        if location:
-            payload["target"] = location
-        return json.dumps(payload, indent=2)
-
-    def __iter__(self) -> Iterator[Finding]:
-        return iter(self.findings)
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def __bool__(self) -> bool:
-        return bool(self.findings)
+    @staticmethod
+    def sort_key(finding: Finding) -> tuple:
+        return (finding.path, finding.line, finding.code)

@@ -2,10 +2,11 @@
 
 :class:`Analyzer` runs a selection of the S-rules over an
 :class:`~repro.analysis.project.AnalysisProject` and returns an
-:class:`~repro.analysis.diagnostics.AnalysisReport`.  Unknown rule
-codes raise :class:`~repro.errors.AnalysisError` up front (code S000 --
-mirroring the linter's C000 contract) rather than silently running a
-subset.
+:class:`~repro.analysis.diagnostics.AnalysisReport`.  The selection
+goes through :meth:`RULES.select <repro.diagnostics.RuleSet.select>`,
+shared with the linter: an empty selection or an unknown code raises
+:class:`~repro.errors.AnalysisError` up front rather than silently
+running a subset.
 
 Suppressions
 ------------
@@ -32,7 +33,6 @@ from typing import Iterable, Optional
 from repro.analysis.diagnostics import AnalysisReport, Finding, Severity
 from repro.analysis.project import AnalysisProject
 from repro.analysis.rules import RULES
-from repro.errors import AnalysisError
 
 __all__ = ["Analyzer", "analyze_paths"]
 
@@ -48,17 +48,7 @@ class Analyzer:
     """Run selected S-rules over a project (all rules by default)."""
 
     def __init__(self, *, rules: Optional[Iterable[str]] = None) -> None:
-        if rules is None:
-            self.codes: list[str] = sorted(RULES)
-        else:
-            self.codes = [code.upper() for code in rules]
-            unknown = sorted(set(self.codes) - set(RULES))
-            if unknown:
-                raise AnalysisError(
-                    f"unknown rule code(s): {', '.join(unknown)}; "
-                    f"known codes are {', '.join(sorted(RULES))}")
-            if not self.codes:
-                raise AnalysisError("empty rule selection")
+        self.rules = RULES.select(rules)
 
     def analyze(self, project: AnalysisProject) -> AnalysisReport:
         report = AnalysisReport()
@@ -71,8 +61,8 @@ class Analyzer:
                     why="unparseable source cannot be analyzed, so "
                         "every invariant in this file is unchecked",
                     path=file.rel, line=1))
-        for code in self.codes:
-            for finding in RULES[code].fn(project):
+        for selected in self.rules:
+            for finding in selected.fn(project):
                 if not self._suppressed(project, finding):
                     report.append(finding)
         return report

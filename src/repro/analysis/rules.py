@@ -1,6 +1,6 @@
 """The engine invariant rules S001-S010.
 
-Where :mod:`repro.lint` checks *queries* against the paper's semantic
+Where the query linter checks *queries* against the paper's semantic
 arguments (C001-C010), this module checks the *engine's own source*
 against the invariants that keep its subsystems coherent: cancellation
 coverage, catalogue/doc agreement, exception taxonomy discipline, lock
@@ -46,47 +46,17 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.analysis.diagnostics import Finding, Severity
 from repro.analysis.project import AnalysisProject, SourceFile
+from repro.diagnostics import RuleSet
+from repro.errors import AnalysisError
 
-__all__ = ["AnalysisRule", "RULES", "rule", "run_rules"]
+__all__ = ["RULES"]
 
-RuleFn = Callable[[AnalysisProject], Iterable[Finding]]
-
-
-@dataclass(frozen=True)
-class AnalysisRule:
-    """One registered rule: stable code plus metadata for docs/CLI."""
-
-    code: str
-    slug: str
-    severity: str
-    summary: str
-    fn: RuleFn
-
-
-RULES: dict[str, AnalysisRule] = {}
-
-
-def rule(code: str, slug: str, severity: str,
-         summary: str) -> Callable[[RuleFn], RuleFn]:
-    def decorator(fn: RuleFn) -> RuleFn:
-        RULES[code] = AnalysisRule(code=code, slug=slug, severity=severity,
-                                   summary=summary, fn=fn)
-        return fn
-    return decorator
-
-
-def run_rules(project: AnalysisProject,
-              selection: Optional[Iterable[str]] = None) -> list[Finding]:
-    codes = sorted(RULES) if selection is None else list(selection)
-    findings: list[Finding] = []
-    for code in codes:
-        findings.extend(RULES[code].fn(project))
-    return findings
+RULES = RuleSet(listing="{code}  {slug:<22} ({severity}) {summary}",
+                error=AnalysisError)
 
 
 # -- AST helpers ---------------------------------------------------------------
@@ -196,9 +166,9 @@ _EXEMPT_BUILTIN_RAISES = {"NotImplementedError", "StopIteration",
 # -- S001 ----------------------------------------------------------------------
 
 
-@rule("S001", "cancellation-coverage", "error",
-      "every concrete CubeAlgorithm polls the cancellation/deadline "
-      "checkpoint")
+@RULES.rule("S001", "cancellation-coverage", severity="error",
+            summary="every concrete CubeAlgorithm polls the "
+                    "cancellation/deadline checkpoint")
 def s001_cancellation_coverage(
         project: AnalysisProject) -> Iterator[Finding]:
     for file in project.parsed():
@@ -257,9 +227,9 @@ def _emitted_metrics(
     return out
 
 
-@rule("S002", "metric-catalogue", "error",
-      "metrics emitted via repro.obs.metrics match docs/OBSERVABILITY.md "
-      "(both directions)")
+@RULES.rule("S002", "metric-catalogue", severity="error",
+            summary="metrics emitted via repro.obs.metrics match "
+                    "docs/OBSERVABILITY.md (both directions)")
 def s002_metric_catalogue(project: AnalysisProject) -> Iterator[Finding]:
     emitted = _emitted_metrics(project)
     if not emitted:
@@ -316,9 +286,9 @@ def _emitted_spans(
     return out
 
 
-@rule("S003", "span-catalogue", "error",
-      "trace.span() names match the documented span catalogue "
-      "(both directions)")
+@RULES.rule("S003", "span-catalogue", severity="error",
+            summary="trace.span() names match the documented span catalogue "
+                    "(both directions)")
 def s003_span_catalogue(project: AnalysisProject) -> Iterator[Finding]:
     emitted = _emitted_spans(project)
     if not emitted:
@@ -365,9 +335,9 @@ def _raised_names(
             yield name, node.lineno
 
 
-@rule("S004", "exception-taxonomy", "error",
-      "raised exceptions belong to repro.errors and are covered by "
-      "test_error_taxonomy")
+@RULES.rule("S004", "exception-taxonomy", severity="error",
+            summary="raised exceptions belong to repro.errors and are "
+                    "covered by test_error_taxonomy")
 def s004_exception_taxonomy(
         project: AnalysisProject) -> Iterator[Finding]:
     taxonomy = project.error_class_names()
@@ -452,8 +422,9 @@ def _guards_import_error(handler: ast.ExceptHandler) -> bool:
                for name in names)
 
 
-@rule("S005", "numpy-guard", "error",
-      "no top-level numpy import outside the guarded columnar backend")
+@RULES.rule("S005", "numpy-guard", severity="error",
+            summary="no top-level numpy import outside the guarded columnar "
+                    "backend")
 def s005_numpy_guard(project: AnalysisProject) -> Iterator[Finding]:
     for file in project.parsed():
         allowed = file.rel.endswith(_NUMPY_ALLOWED)
@@ -523,9 +494,9 @@ def _swallows_everything(handler: ast.ExceptHandler) -> bool:
         for stmt in handler.body)
 
 
-@rule("S006", "hot-path-except", "error",
-      "no bare except / swallowed except Exception on compute and serve "
-      "hot paths")
+@RULES.rule("S006", "hot-path-except", severity="error",
+            summary="no bare except / swallowed except Exception on compute "
+                    "and serve hot paths")
 def s006_hot_path_except(project: AnalysisProject) -> Iterator[Finding]:
     for file in project.in_package("compute", "serve"):
         for node in ast.walk(file.tree):
@@ -566,9 +537,9 @@ def _released_in_finally(try_node: ast.Try) -> bool:
     return False
 
 
-@rule("S007", "lock-context-manager", "error",
-      "serve-layer locks are acquired via context managers, never bare "
-      ".acquire()")
+@RULES.rule("S007", "lock-context-manager", severity="error",
+            summary="serve-layer locks are acquired via context managers, "
+                    "never bare .acquire()")
 def s007_lock_context_manager(
         project: AnalysisProject) -> Iterator[Finding]:
     for file in project.in_package("serve"):
@@ -645,8 +616,9 @@ def _blocking_calls(node: ast.With) -> Iterator[ast.Call]:
             yield call
 
 
-@rule("S008", "lock-blocking-io", "error",
-      "no blocking socket/file I/O while holding a serve-layer lock")
+@RULES.rule("S008", "lock-blocking-io", severity="error",
+            summary="no blocking socket/file I/O while holding a "
+                    "serve-layer lock")
 def s008_lock_blocking_io(project: AnalysisProject) -> Iterator[Finding]:
     for file in project.in_package("serve"):
         for node in ast.walk(file.tree):
@@ -693,9 +665,9 @@ def _injection_points(
     return None, {}
 
 
-@rule("S009", "chaos-matrix", "error",
-      "every chaos injection point is declared and exercised by the "
-      "chaos test matrix")
+@RULES.rule("S009", "chaos-matrix", severity="error",
+            summary="every chaos injection point is declared and exercised "
+                    "by the chaos test matrix")
 def s009_chaos_matrix(project: AnalysisProject) -> Iterator[Finding]:
     anchor, points = _injection_points(project)
     if anchor is None:
@@ -779,9 +751,9 @@ def _imported_names(tree: ast.AST) -> set[str]:
     return out
 
 
-@rule("S010", "registry-roundtrip", "error",
-      "algorithm and aggregate registries round-trip through their "
-      "lookup tables")
+@RULES.rule("S010", "registry-roundtrip", severity="error",
+            summary="algorithm and aggregate registries round-trip through "
+                    "their lookup tables")
 def s010_registry_roundtrip(
         project: AnalysisProject) -> Iterator[Finding]:
     class_names = _class_name_attrs(project)

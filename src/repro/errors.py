@@ -143,7 +143,7 @@ class SQLExecutionError(SQLError):
 
 class CLIUsageError(ReproError):
     """A command-line invocation problem shared by the repro CLIs
-    (:mod:`repro.cliutil`): empty ``--rules`` selections and similar.
+    (:mod:`repro.diagnostics`): empty ``--rules`` selections and similar.
     CLIs report the message and exit 2, never a traceback."""
 
 
@@ -159,7 +159,8 @@ class LintError(ReproError):
     diagnostics and the caller asked for strict mode.
 
     Carries the offending :class:`~repro.lint.diagnostics.Diagnostic`
-    records on :attr:`diagnostics` so callers can render or filter them.
+    records on :attr:`diagnostics` so callers can render or filter them;
+    a bad rule selection raises it too, with one ``C000`` diagnostic.
     """
 
     def __init__(self, diagnostics: Sequence[Any]) -> None:

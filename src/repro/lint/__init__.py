@@ -18,6 +18,9 @@ Three surfaces:
 - ``EXPLAIN`` output includes the diagnostics alongside the plan;
 - ``python -m repro.lint file.sql`` is the CI-gating CLI (see
   :mod:`repro.lint.cli` for exit codes).
+
+Severity, the report, the rule registry and the CLI skeleton are shared
+with :mod:`repro.analysis` through :mod:`repro.diagnostics`.
 """
 
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
@@ -30,12 +33,11 @@ from repro.lint.engine import (
     require_clean,
     split_statements,
 )
-from repro.lint.rules import RULES, LintRule
+from repro.lint.rules import RULES
 
 __all__ = [
     "Diagnostic",
     "LintReport",
-    "LintRule",
     "Linter",
     "RULES",
     "Severity",

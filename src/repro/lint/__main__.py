@@ -1,14 +1,6 @@
 """``python -m repro.lint`` entry point."""
 
-import os
-import sys
+from repro.lint.cli import main
 
-from repro.lint.cli import EXIT_LINT_ERRORS, main
-
-try:
-    sys.exit(main())
-except BrokenPipeError:
-    # downstream pager/head closed the pipe; exit quietly without a
-    # traceback (devnull dup stops Python's shutdown-time flush warning)
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(EXIT_LINT_ERRORS)
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,8 +16,8 @@ Exit codes (stable, for CI gating):
 - ``2`` -- usage problems (unknown flag, unreadable file, unknown or
   empty rule selection, ``.py`` input without ``--self-check``).
 
-The flag surface and exit codes are shared with
-``python -m repro.analysis`` via :mod:`repro.cliutil`.
+The flag surface, exit codes and output path are shared with
+``python -m repro.analysis`` via :func:`repro.diagnostics.run_cli`.
 
 ``--self-check`` mode scans Python sources for embedded SQL string
 literals (the repo's examples) and lints every statement it can parse;
@@ -31,17 +31,10 @@ import argparse
 import ast
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.cliutil import (
-    EXIT_FINDINGS,
-    EXIT_OK,
-    EXIT_USAGE,
-    CLIUsageError,
-    add_format_argument,
-    parse_rule_selection,
-)
-from repro.errors import LintError
+from repro.diagnostics import run_cli
+from repro.errors import CLIUsageError
 from repro.lint.diagnostics import LintReport
 from repro.lint.engine import DEFAULT_BLOWUP_THRESHOLD, Linter
 from repro.lint.rules import RULES
@@ -50,21 +43,8 @@ __all__ = ["main"]
 
 _SQL_LITERAL = re.compile(r"^\s*(SELECT|EXPLAIN)\b", re.IGNORECASE)
 
-EXIT_LINT_ERRORS = EXIT_FINDINGS
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="Static semantic linter for CUBE/ROLLUP queries "
-                    "(rules grounded in Gray et al. 1996).")
-    parser.add_argument("paths", nargs="*",
-                        help=".sql files (or '-' for stdin); .py files "
-                             "with --self-check")
-    parser.add_argument("--rules", default=None, metavar="CODES",
-                        help="comma-separated rule codes to run "
-                             "(default: all)")
-    add_format_argument(parser)
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=int,
                         default=DEFAULT_BLOWUP_THRESHOLD,
                         help="C009 cube-size blow-up threshold "
@@ -72,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--self-check", action="store_true",
                         help="scan .py files for embedded SQL literals "
                              "and lint those (parse failures skipped)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    return parser
 
 
 def _extract_sql_literals(source: str) -> list[str]:
@@ -102,71 +79,36 @@ def _lint_py_self_check(linter: Linter, source: str) -> LintReport:
     return report
 
 
-def _emit(report: LintReport, location: str, fmt: str,
-          out: Iterable[str]) -> None:
-    if fmt == "json":
-        print(report.format_json(location=location))
-    else:
-        print(report.format_text(location=location))
+def _lint_path(linter: Linter, path: str,
+               self_check: bool) -> tuple[LintReport, str]:
+    if path == "-":
+        return linter.lint_sql(sys.stdin.read()), "<stdin>"
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as error:
+        raise CLIUsageError(f"cannot read {path}: {error}") from None
+    if not path.endswith(".py"):
+        return linter.lint_sql(source), path
+    if not self_check:
+        raise CLIUsageError(f"{path} is a Python file; pass --self-check "
+                            "to lint its embedded SQL")
+    return _lint_py_self_check(linter, source), path
+
+
+def _reports(args: argparse.Namespace, codes: Optional[list[str]]
+             ) -> Iterable[tuple[LintReport, str]]:
+    linter = Linter(rules=codes, blowup_threshold=args.threshold)
+    return (_lint_path(linter, path, args.self_check)
+            for path in args.paths)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        # argparse exits 2 on usage errors, 0 on --help: preserve both
-        return int(exit_.code or 0)
-
-    if args.list_rules:
-        for code in sorted(RULES):
-            registered = RULES[code]
-            print(f"{code}  {registered.slug:<22} "
-                  f"[{registered.paper_section}] {registered.summary}")
-        return EXIT_OK
-
-    if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("error: no input files (use '-' for stdin)",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        rules = parse_rule_selection(args.rules)
-        linter = Linter(rules=rules, blowup_threshold=args.threshold)
-    except (CLIUsageError, LintError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-
-    any_errors = False
-    for path in args.paths:
-        if path == "-":
-            source = sys.stdin.read()
-            location = "<stdin>"
-            is_python = False
-        else:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as error:
-                print(f"error: cannot read {path}: {error}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            location = path
-            is_python = path.endswith(".py")
-
-        if is_python:
-            if not args.self_check:
-                print(f"error: {path} is a Python file; pass "
-                      "--self-check to lint its embedded SQL",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            report = _lint_py_self_check(linter, source)
-        else:
-            report = linter.lint_sql(source)
-
-        _emit(report, location, args.format, sys.stdout)
-        if not report.ok:
-            any_errors = True
-
-    return EXIT_LINT_ERRORS if any_errors else EXIT_OK
+    return run_cli(
+        argv, prog="python -m repro.lint",
+        description="Static semantic linter for CUBE/ROLLUP queries "
+                    "(rules grounded in Gray et al. 1996).",
+        paths_help=".sql files (or '-' for stdin); .py files with "
+                   "--self-check",
+        no_paths="no input files (use '-' for stdin)",
+        rules=RULES, add_arguments=_add_arguments, reports=_reports)

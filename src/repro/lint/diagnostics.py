@@ -3,8 +3,9 @@
 A :class:`Diagnostic` is one finding: a stable rule code (``C001``...),
 a severity, a human-readable message, the column names involved, an
 optional source span (character offsets into the linted SQL text), and a
-suggested fix.  :class:`LintReport` is an ordered collection with the
-filtering and formatting helpers the CLI, EXPLAIN, and strict mode use.
+suggested fix.  :class:`LintReport` is the shared
+:class:`repro.diagnostics.Report` ordered severity first, the form the
+CLI, EXPLAIN, and strict mode use.
 
 The paper's correctness arguments are static properties of the query or
 plan (Sections 3.4, 3.5, 5, and 6); each diagnostic names the section it
@@ -14,34 +15,12 @@ argument.
 
 from __future__ import annotations
 
-import enum
-import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any
+
+from repro.diagnostics import Report, Severity
 
 __all__ = ["Severity", "Diagnostic", "LintReport"]
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.
-
-    ``ERROR`` findings describe plans that are wrong or will fail at
-    runtime (a holistic aggregate handed to a merge-based algorithm);
-    strict mode raises on them.  ``WARNING`` findings describe plans
-    that run but mislead or blow up (ALL/NULL ambiguity, cube size).
-    ``INFO`` findings are advisory.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -85,66 +64,12 @@ class Diagnostic:
         return out
 
 
-@dataclass
-class LintReport:
-    """An ordered collection of diagnostics for one lint run."""
+class LintReport(Report[Diagnostic]):
+    """The diagnostics of one lint run, worst severity first."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    records_key = "diagnostics"
+    location_key = "file"
 
-    def extend(self, diagnostics: Iterable[Diagnostic]) -> None:
-        self.diagnostics.extend(diagnostics)
-
-    def append(self, diagnostic: Diagnostic) -> None:
-        self.diagnostics.append(diagnostic)
-
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity is Severity.ERROR]
-
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity is Severity.WARNING]
-
-    def codes(self) -> set[str]:
-        return {d.code for d in self.diagnostics}
-
-    def by_severity(self) -> list[Diagnostic]:
-        return sorted(self.diagnostics,
-                      key=lambda d: (d.severity.rank, d.code))
-
-    @property
-    def clean(self) -> bool:
-        """True when no diagnostics at all were produced."""
-        return not self.diagnostics
-
-    @property
-    def ok(self) -> bool:
-        """True when no *error*-severity diagnostics were produced."""
-        return not self.errors()
-
-    def format_text(self, *, location: str = "") -> str:
-        if self.clean:
-            prefix = f"{location}: " if location else ""
-            return f"{prefix}clean"
-        return "\n".join(d.format_line(location=location)
-                         for d in self.by_severity())
-
-    def format_json(self, *, location: str = "") -> str:
-        payload: dict[str, Any] = {
-            "diagnostics": [d.to_dict() for d in self.by_severity()],
-            "errors": len(self.errors()),
-            "warnings": len(self.warnings()),
-            "ok": self.ok,
-        }
-        if location:
-            payload["file"] = location
-        return json.dumps(payload, indent=2)
-
-    def __iter__(self) -> Iterator[Diagnostic]:
-        return iter(self.diagnostics)
-
-    def __len__(self) -> int:
-        return len(self.diagnostics)
-
-    def __bool__(self) -> bool:
-        return bool(self.diagnostics)
+    @staticmethod
+    def sort_key(diagnostic: Diagnostic) -> tuple:
+        return (diagnostic.severity.rank, diagnostic.code)

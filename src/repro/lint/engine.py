@@ -20,7 +20,7 @@ from repro.engine.table import Table
 from repro.errors import LintError, SQLSyntaxError
 from repro.lint.context import context_from_spec, contexts_from_statement
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
-from repro.lint.rules import RULES, run_rules
+from repro.lint.rules import RULES
 from repro.sql.ast_nodes import ExplainStmt, Statement
 from repro.types import NullMode
 
@@ -41,7 +41,9 @@ DEFAULT_BLOWUP_THRESHOLD = 1_000_000
 class Linter:
     """A configured rule set.
 
-    ``rules`` selects codes (default all); unknown codes raise
+    ``rules`` selects codes (default all) through
+    :meth:`RULES.select <repro.diagnostics.RuleSet.select>`: an empty
+    selection or an unknown code raises :class:`LintError` (``C000``)
     immediately so CI typos fail loudly.  ``blowup_threshold``
     configures C009.
     """
@@ -49,15 +51,7 @@ class Linter:
     def __init__(self, *, rules: Iterable[str] | None = None,
                  registry: AggregateRegistry | None = None,
                  blowup_threshold: int = DEFAULT_BLOWUP_THRESHOLD) -> None:
-        if rules is not None:
-            rules = tuple(rules)
-            unknown = [code for code in rules if code not in RULES]
-            if unknown:
-                raise LintError([Diagnostic(
-                    code="C000", severity=Severity.ERROR,
-                    message=f"unknown rule code(s) {unknown}; have "
-                            f"{sorted(RULES)}")])
-        self.rules = rules
+        self.rules = RULES.select(rules)
         self.registry = registry or default_registry
         self.blowup_threshold = blowup_threshold
 
@@ -83,7 +77,8 @@ class Linter:
                 null_mode=null_mode,
                 blowup_threshold=self.blowup_threshold,
                 span=span, statement_index=statement_index):
-            report.extend(run_rules(ctx, self.rules))
+            for selected in self.rules:
+                report.extend(selected.fn(ctx))
         return report
 
     def lint_sql(self, text: str, *,
@@ -136,7 +131,8 @@ class Linter:
             maintenance_ops=maintenance_ops, retain_base=retain_base,
             blowup_threshold=self.blowup_threshold)
         report = LintReport()
-        report.extend(run_rules(ctx, self.rules))
+        for selected in self.rules:
+            report.extend(selected.fn(ctx))
         return report
 
 

@@ -30,67 +30,37 @@ C010   unknown-function        error      the name resolves to no
 =====  ======================  =========  ==============================
 
 A rule is a function ``rule(ctx) -> Iterable[Diagnostic]`` registered
-via :func:`rule`; :data:`RULES` maps code -> :class:`LintRule`.  Rules
+via :meth:`RULES.rule <repro.diagnostics.RuleSet.rule>`; :data:`RULES`
+is the pack's :class:`~repro.diagnostics.RuleSet`.  Rules
 must not mutate the context, its table, or any AST node (a property
 test pins this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro.core.grouping import GroupingSpec
 from repro.core.lattice import CubeLattice
-from repro.errors import GroupingError
+from repro.diagnostics import Rule, RuleSet
+from repro.errors import GroupingError, LintError
 from repro.lint.context import MERGE_BASED_ALGORITHMS, LintContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.types import NullMode
 
-__all__ = ["LintRule", "RULES", "rule", "run_rules"]
-
-RuleFn = Callable[[LintContext], Iterable[Diagnostic]]
+__all__ = ["RULES"]
 
 
-@dataclass(frozen=True)
-class LintRule:
-    """One registered rule: stable code plus metadata for docs/CLI."""
-
-    code: str
-    slug: str
-    paper_section: str
-    summary: str
-    fn: RuleFn
-
-    def apply(self, ctx: LintContext) -> list[Diagnostic]:
-        return list(self.fn(ctx))
+def _selection_error(message: str) -> LintError:
+    return LintError([Diagnostic(code="C000", severity=Severity.ERROR,
+                                 message=message)])
 
 
-RULES: dict[str, LintRule] = {}
+RULES = RuleSet(listing="{code}  {slug:<22} [{paper_section}] {summary}",
+                error=_selection_error)
 
 
-def rule(code: str, slug: str, paper_section: str,
-         summary: str) -> Callable[[RuleFn], RuleFn]:
-    def decorate(fn: RuleFn) -> RuleFn:
-        RULES[code] = LintRule(code=code, slug=slug,
-                               paper_section=paper_section,
-                               summary=summary, fn=fn)
-        return fn
-    return decorate
-
-
-def run_rules(ctx: LintContext,
-              codes: Iterable[str] | None = None) -> list[Diagnostic]:
-    """Apply the selected rules (default: all) to one context."""
-    selected = [RULES[c] for c in codes] if codes is not None \
-        else list(RULES.values())
-    out: list[Diagnostic] = []
-    for lint_rule in selected:
-        out.extend(lint_rule.apply(ctx))
-    return out
-
-
-def _make(ctx: LintContext, registered: LintRule, severity: Severity,
+def _make(ctx: LintContext, registered: Rule, severity: Severity,
           message: str, *, columns: tuple[str, ...] = (),
           suggestion: str = "") -> Diagnostic:
     return Diagnostic(code=registered.code, severity=severity,
@@ -103,8 +73,9 @@ def _make(ctx: LintContext, registered: LintRule, severity: Severity,
 # -- C001 ----------------------------------------------------------------------
 
 
-@rule("C001", "holistic-merge", "Section 5",
-      "a holistic aggregate cannot run on a merge-based cube algorithm")
+@RULES.rule("C001", "holistic-merge", paper_section="Section 5",
+            summary="a holistic aggregate cannot run on a merge-based cube "
+                    "algorithm")
 def check_holistic_merge(ctx: LintContext) -> Iterator[Diagnostic]:
     """Section 5: "we know of no more efficient way of computing
     super-aggregates of holistic functions than the 2^N-algorithm."  A
@@ -132,8 +103,9 @@ def check_holistic_merge(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C002 ----------------------------------------------------------------------
 
 
-@rule("C002", "holistic-under-delete", "Section 6",
-      "the plan maintains a delete-holistic aggregate under DELETE")
+@RULES.rule("C002", "holistic-under-delete", paper_section="Section 6",
+            summary="the plan maintains a delete-holistic aggregate under "
+                    "DELETE")
 def check_holistic_under_delete(ctx: LintContext) -> Iterator[Diagnostic]:
     """Section 6: "max is distributive for SELECT and INSERT, but it is
     holistic for DELETE."  A maintenance plan that must absorb deletes
@@ -169,8 +141,9 @@ def check_holistic_under_delete(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C003 ----------------------------------------------------------------------
 
 
-@rule("C003", "all-null-ambiguity", "Section 3.4",
-      "NULL-based ALL is ambiguous when grouping data contains real NULLs")
+@RULES.rule("C003", "all-null-ambiguity", paper_section="Section 3.4",
+            summary="NULL-based ALL is ambiguous when grouping data "
+                    "contains real NULLs")
 def check_all_null_ambiguity(ctx: LintContext) -> Iterator[Diagnostic]:
     """Section 3.4's minimalist design represents ALL as NULL; the paper
     notes this "will not be able to distinguish the NULL ALL value from
@@ -199,9 +172,9 @@ def check_all_null_ambiguity(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C004 ----------------------------------------------------------------------
 
 
-@rule("C004", "decoration-dependency", "Section 3.5",
-      "a decoration column must be functionally dependent on grouping "
-      "columns")
+@RULES.rule("C004", "decoration-dependency", paper_section="Section 3.5",
+            summary="a decoration column must be functionally dependent on "
+                    "grouping columns")
 def check_decoration_dependency(ctx: LintContext) -> Iterator[Diagnostic]:
     """Section 3.5 / Table 7: a decoration is only well-defined when the
     aggregate tuple functionally defines it.  Two checks: (a) declared
@@ -250,8 +223,9 @@ def check_decoration_dependency(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C005 ----------------------------------------------------------------------
 
 
-@rule("C005", "grouping-non-grouped", "Section 3.4",
-      "GROUPING() applied to an expression that is not grouped")
+@RULES.rule("C005", "grouping-non-grouped", paper_section="Section 3.4",
+            summary="GROUPING() applied to an expression that is not "
+                    "grouped")
 def check_grouping_non_grouped(ctx: LintContext) -> Iterator[Diagnostic]:
     """``GROUPING(col)`` discriminates the ALL rows of a *grouping*
     column (Section 3.4); applied to anything else it has no defined
@@ -274,8 +248,9 @@ def check_grouping_non_grouped(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C006 ----------------------------------------------------------------------
 
 
-@rule("C006", "duplicate-grouping", "Section 3.2",
-      "a column appears more than once across the grouping lists")
+@RULES.rule("C006", "duplicate-grouping", paper_section="Section 3.2",
+            summary="a column appears more than once across the grouping "
+                    "lists")
 def check_duplicate_grouping(ctx: LintContext) -> Iterator[Diagnostic]:
     """The Section 3.2 clause concatenates plain + ROLLUP + CUBE lists
     into one dimension list; a repeated column makes the output schema
@@ -293,8 +268,9 @@ def check_duplicate_grouping(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C007 ----------------------------------------------------------------------
 
 
-@rule("C007", "constant-grouping", "Section 3",
-      "a constant (cardinality-1) column in a CUBE/ROLLUP list")
+@RULES.rule("C007", "constant-grouping", paper_section="Section 3",
+            summary="a constant (cardinality-1) column in a CUBE/ROLLUP "
+                    "list")
 def check_constant_grouping(ctx: LintContext) -> Iterator[Diagnostic]:
     """By the Π(Ci+1) law a dimension with Ci=1 still contributes a
     factor of 2 to the cube: every cell is duplicated into an ALL twin
@@ -328,8 +304,8 @@ def check_constant_grouping(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C008 ----------------------------------------------------------------------
 
 
-@rule("C008", "udaf-no-itersuper", "Section 5",
-      "super-aggregation of a function without Iter_super")
+@RULES.rule("C008", "udaf-no-itersuper", paper_section="Section 5",
+            summary="super-aggregation of a function without Iter_super")
 def check_udaf_no_itersuper(ctx: LintContext) -> Iterator[Diagnostic]:
     """Figure 7 extends user-defined aggregates with Iter_super so
     super-aggregates can be computed from sub-aggregates.  A function
@@ -367,8 +343,9 @@ def check_udaf_no_itersuper(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C009 ----------------------------------------------------------------------
 
 
-@rule("C009", "cube-blowup", "Section 3",
-      "the Π(Ci+1) estimate for the cube crosses the blow-up threshold")
+@RULES.rule("C009", "cube-blowup", paper_section="Section 3",
+            summary="the Π(Ci+1) estimate for the cube crosses the blow-up "
+                    "threshold")
 def check_cube_blowup(ctx: LintContext) -> Iterator[Diagnostic]:
     """Section 3 warns that "the cube operator can be very expensive":
     for N dimensions of cardinality Ci the full cube holds Π(Ci+1)
@@ -410,9 +387,9 @@ def check_cube_blowup(ctx: LintContext) -> Iterator[Diagnostic]:
 # -- C010 ----------------------------------------------------------------------
 
 
-@rule("C010", "unknown-function", "Section 1.2",
-      "a function name resolves to no registered aggregate or scalar "
-      "function")
+@RULES.rule("C010", "unknown-function", paper_section="Section 1.2",
+            summary="a function name resolves to no registered aggregate or "
+                    "scalar function")
 def check_unknown_function(ctx: LintContext) -> Iterator[Diagnostic]:
     """The Illustra-style registry (Section 1.2) is the single source of
     aggregate names; a name missing from it fails at plan or evaluation

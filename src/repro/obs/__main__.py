@@ -16,8 +16,10 @@ JSON object.  When the durable storage engine has been active
 (checkpoints, recoveries, WAL replay -- docs/STORAGE.md), a
 ``storage:`` section reports its counters: from the server's stats
 under ``--connect``, from this process's metric registry otherwise.
-Exit codes follow the other repro CLIs: 0 OK, 2 usage error
-(unreadable file, bad flag, malformed JSONL, unreachable server).
+Exit codes, ``--format`` and the stdout path are those of the other
+repro CLIs (:mod:`repro.diagnostics`): 0 OK, 2 usage error (unreadable
+file, bad flag, malformed JSONL, unreachable server); a closed stdout
+changes neither.
 """
 
 from __future__ import annotations
@@ -27,7 +29,12 @@ import json
 import sys
 from typing import Optional
 
-from repro.cliutil import EXIT_OK, EXIT_USAGE, add_format_argument
+from repro.diagnostics import (
+    EXIT_OK,
+    EXIT_USAGE,
+    add_format_argument,
+    write,
+)
 from repro.errors import CLIUsageError, ObservabilityError, ReproError
 from repro.obs.querylog import (
     QUERY_LOG,
@@ -223,7 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"usage error: {error}", file=sys.stderr)
         return EXIT_USAGE
     renderer = _render_json if args.format == "json" else _render_text
-    print(renderer(records, workload, storage, args))
+    write(renderer(records, workload, storage, args))
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from analysisutil import write_tree
 from repro.analysis.cli import main
-from repro.cliutil import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE
+from repro.diagnostics import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE
 
 CLEAN_SRC = {
     "ROADMAP.md": "marker\n",

@@ -101,7 +101,7 @@ def _trigger_analysis_error():
 
 
 def _trigger_cli_usage_error():
-    from repro.cliutil import parse_rule_selection
+    from repro.diagnostics import parse_rule_selection
     parse_rule_selection(", ,")
 
 

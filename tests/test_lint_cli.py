@@ -2,7 +2,13 @@
 
 import json
 
-from repro.lint.cli import EXIT_LINT_ERRORS, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from repro.diagnostics import EXIT_FINDINGS as EXIT_LINT_ERRORS
+from repro.diagnostics import EXIT_OK, EXIT_USAGE
+from repro.errors import LintError
+from repro.lint import Linter, lint_sql
+from repro.lint.cli import main
 
 CLEAN_SQL = "SELECT Model, SUM(Units) FROM Sales GROUP BY CUBE Model, Year;\n"
 BAD_SQL = ("SELECT Model, GROUPING(Units) FROM Sales GROUP BY Model;\n"
@@ -44,12 +50,22 @@ class TestExitCodes:
 
     def test_empty_rule_selection_is_usage_error(self, tmp_path, capsys):
         # --rules "" would run zero rules and report a hollow "clean";
-        # shared cliutil semantics make it an explicit usage error
+        # the shared CLI core makes it an explicit usage error
         path = _write(tmp_path, "q.sql", CLEAN_SQL)
         assert main([path, "--rules", ""]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert "no rules" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("run", [
+        lambda: Linter(rules=[]),
+        lambda: lint_sql(CLEAN_SQL, rules=[]),
+    ], ids=["Linter", "lint_sql"])
+    def test_empty_rule_selection_raises_in_library(self, run):
+        # the library APIs share the CLI's rule: no hollow "clean"
+        with pytest.raises(LintError) as info:
+            run()
+        assert [d.code for d in info.value.diagnostics] == ["C000"]
 
     def test_lowercase_rule_codes_are_accepted(self, tmp_path, capsys):
         path = _write(tmp_path, "q.sql", CLEAN_SQL)

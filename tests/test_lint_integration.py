@@ -6,7 +6,7 @@ from lintutil import sales_catalog, sales_table
 
 from repro.core.cube import agg, cube, grouping_sets_op, rollup
 from repro.errors import LintError
-from repro.lint import RULES
+from repro.lint import RULES, Linter
 from repro.maintenance.materialized import MaterializedCube
 from repro.shell import Shell
 from repro.sql.executor import SQLSession
@@ -20,6 +20,13 @@ class TestRuleCatalogue:
         for registered in RULES.values():
             assert registered.paper_section
             assert registered.summary
+
+    @pytest.mark.parametrize("code", ["C001", "c001"])
+    def test_selected_rule_runs_case_insensitively(self, code):
+        report = Linter(rules=[code]).lint_cube_spec(
+            sales_table(), ["Model", "Year"], [agg("MEDIAN", "Units")],
+            algorithm="from-core")
+        assert report.codes() == {"C001"}
 
 
 class TestStrictCube:
