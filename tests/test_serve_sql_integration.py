@@ -135,3 +135,31 @@ class TestBypassAndInvalidation:
         cached.execute(filtered)
         assert cached.cache.stats()["hits"] == 0
         assert cached.cache.stats()["misses"] == 2
+
+
+class TestTableFunctionSlots:
+    """Table-function columns are named positionally (``__tf0_n_tile``),
+    so the cache's source key must carry the ordered call keys: two
+    queries whose ``__tfN`` columns come from different calls may not
+    share an entry."""
+
+    FIRST = ("SELECT a, SUM(RANK(Units)) AS s FROM Sales "
+             "GROUP BY CUBE N_TILE(Year, 2) AS a;")
+    SWAPPED = ("SELECT a, SUM(RANK(Year)) AS s FROM Sales "
+               "GROUP BY CUBE N_TILE(Units, 2) AS a;")
+
+    def test_swapped_arguments_miss_and_match_uncached(self, sales):
+        cached = SQLSession(Catalog(), cache=CuboidCache())
+        cached.register("Sales", sales)
+        plain = SQLSession(Catalog())
+        plain.register("Sales", sales)
+
+        first = cached.execute(self.FIRST)
+        assert canon(first) == canon(plain.execute(self.FIRST)) \
+            == ["(1, 9)", "(2, 25)", "(ALL, 34)"]
+        swapped = cached.execute(self.SWAPPED)
+        assert canon(swapped) == canon(plain.execute(self.SWAPPED)) \
+            == ["(1, 4)", "(2, 20)", "(ALL, 24)"]
+        stats = cached.cache.stats()
+        assert stats["hits"] == 0
+        assert stats["misses"] == 2

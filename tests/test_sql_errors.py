@@ -88,6 +88,23 @@ class TestPlanErrors:
         with pytest.raises(SQLPlanError):
             session.execute("SELECT SUM(DISTINCT Units) FROM Sales;")
 
+    def test_where_error_precedes_bad_aggregate(self, session):
+        from repro.errors import ExpressionError
+        with pytest.raises(ExpressionError, match="Engine"):
+            session.execute(
+                "SELECT SUM(DISTINCT Units) FROM Sales WHERE Engine = 1;")
+
+    def test_star_error_precedes_bad_aggregate(self, session):
+        with pytest.raises(SQLPlanError, match="SELECT \\* cannot"):
+            session.execute("SELECT *, SUM(DISTINCT Units) FROM Sales "
+                            "GROUP BY Model;")
+
+    def test_table_function_error_precedes_bad_aggregate(self, session):
+        from repro.errors import ExpressionError
+        with pytest.raises(ExpressionError, match="Engine"):
+            session.execute("SELECT SUM(DISTINCT RANK(Engine)) FROM Sales "
+                            "GROUP BY Model;")
+
     def test_non_scalar_subquery(self, session):
         with pytest.raises(SQLExecutionError):
             session.execute(
