@@ -20,7 +20,7 @@ S002   metric-catalogue         error      metrics emitted through the
                                            docs/OBSERVABILITY.md
 S003   span-catalogue           error      trace.span() names match the
                                            documented span catalogue
-S004   exception-taxonomy       err/warn   raised exceptions belong to
+S004   exception-taxonomy       warn/err   raised exceptions belong to
                                            repro.errors and are covered
                                            by test_error_taxonomy
 S005   numpy-guard              error      numpy imports only inside
@@ -335,7 +335,7 @@ def _raised_names(
             yield name, node.lineno
 
 
-@RULES.rule("S004", "exception-taxonomy", severity="error",
+@RULES.rule("S004", "exception-taxonomy", severity="warning/error",
             summary="raised exceptions belong to repro.errors and are "
                     "covered by test_error_taxonomy")
 def s004_exception_taxonomy(

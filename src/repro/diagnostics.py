@@ -196,24 +196,28 @@ class RuleSet(Dict[str, Rule]):
             return fn
         return decorate
 
-    def select(self, codes: Optional[Iterable[str]] = None) -> list[Rule]:
+    def select(self, codes: Optional[Iterable[str]] = None, *,
+               error: Optional[Callable[[str], Exception]] = None
+               ) -> list[Rule]:
         """The rules to run: all of them (in code order) for ``None``,
         else the named ones in the given order, codes case-insensitive.
 
         An empty selection raises: a run of zero rules can only ever say
         "clean", which is a lie waiting for a CI pipeline to believe it.
         Unknown codes raise too, so a typo fails loudly instead of
-        silently running a subset.
+        silently running a subset.  ``error`` overrides the pack's
+        exception (the CLI raises a usage error).
         """
         if codes is None:
             return [self[code] for code in sorted(self)]
+        error = error or self.error
         wanted = [code.upper() for code in codes]
         if not wanted:
-            raise self.error("empty rule selection; name at least one "
-                             "code or select all")
+            raise error("empty rule selection; name at least one "
+                        "code or select all")
         unknown = sorted(set(wanted) - set(self))
         if unknown:
-            raise self.error(
+            raise error(
                 f"unknown rule code(s): {', '.join(unknown)}; known "
                 f"codes are {', '.join(sorted(self))}")
         return [self[code] for code in wanted]
@@ -310,7 +314,9 @@ def run_cli(argv: Optional[Sequence[str]], *, prog: str, description: str,
         return EXIT_USAGE
 
     try:
-        runs = reports(args, parse_rule_selection(args.rules))
+        codes = parse_rule_selection(args.rules)
+        rules.select(codes, error=CLIUsageError)
+        runs = reports(args, codes)
     except (ReproError, OSError) as error:
         return _usage(error)
     failed = False

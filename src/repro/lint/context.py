@@ -8,8 +8,9 @@ builders here do all the front-end-specific walking (AST traversal via
 introspection) so rules stay pure functions of the context.
 
 Builders never mutate their inputs: aggregate functions referenced by a
-spec are inspected in place, SQL aggregate calls are *re-instantiated*
-from the registry (mirroring how the executor would run them), and data
+spec are inspected in place, a SQL SELECT is read through the same
+:func:`repro.sql.bind.bind` the executor uses (fresh function
+instances, dimensions under the names the executor outputs), and data
 checks only read table rows.
 """
 
@@ -21,7 +22,12 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.registry import AggregateRegistry, default_registry
 from repro.core.decorations import Decoration
-from repro.engine.expressions import ColumnRef, Expression, Literal
+from repro.engine.expressions import (
+    ColumnRef,
+    Expression,
+    FunctionCall,
+    Literal,
+)
 from repro.engine.table import Table
 from repro.errors import UnknownAggregateError
 from repro.sql.ast_nodes import (
@@ -30,7 +36,10 @@ from repro.sql.ast_nodes import (
     SelectStmt,
     Star,
     Statement,
+    TableFunctionCall,
 )
+from repro.sql.analysis import children, iter_selects, walk
+from repro.sql.bind import BoundAggregate, bind, bind_aggregate, select_roots
 from repro.types import NullMode
 
 __all__ = [
@@ -182,45 +191,24 @@ class LintContext:
 # -- builders ------------------------------------------------------------------
 
 
-def _resolve_sql_aggregate(call: AggregateCall,
-                           registry: AggregateRegistry) -> AggregateInfo:
-    """Instantiate a fresh function mirroring the executor's strict-mode
-    construction, without touching any shared state."""
-    name = call.name
-    try:
-        if call.distinct:
-            if name == "COUNT":
-                fn = registry.create("COUNT_DISTINCT")
-            else:
-                return AggregateInfo(name=f"DISTINCT {name}", function=None,
-                                     known=False)
-        elif name == "COUNT" and call.argument == "*":
-            fn = registry.create("COUNT(*)")
-        else:
-            fn = registry.create(name, *call.extra_args)
-    except UnknownAggregateError:
-        return AggregateInfo(name=name, function=None, known=False)
-    except Exception:
-        # bad extra_args etc. -- not this linter's concern
-        return AggregateInfo(name=name, function=None, known=True)
-    # SQL runs holistic functions in strict (non-carrying) mode; the
-    # instance is fresh, so flipping the flag mutates nothing shared
-    from repro.aggregates.holistic import HolisticAggregate
-    if isinstance(fn, HolisticAggregate):
-        fn.carrying = False
-    return AggregateInfo(name=name, function=fn,
-                         user_defined=_is_user_defined(fn))
+def _sql_aggregate_info(bound: BoundAggregate) -> AggregateInfo:
+    """What the linter knows about one bound SQL aggregate call: an
+    unknown name or a DISTINCT that is not COUNT is unknown; any other
+    construction failure is a known function it cannot inspect."""
+    call = bound.call
+    if bound.function is not None:
+        return _function_info(call.name, bound.function)
+    if call.distinct and call.name != "COUNT":
+        return AggregateInfo(name=f"DISTINCT {call.name}", function=None,
+                             known=False)
+    unknown = isinstance(bound.error, UnknownAggregateError)
+    return AggregateInfo(name=call.name, function=None, known=not unknown)
 
 
-def _is_user_defined(fn: AggregateFunction) -> bool:
-    return type(fn).__name__.startswith("UDAF_") \
+def _function_info(name: str, fn: AggregateFunction) -> AggregateInfo:
+    user_defined = type(fn).__name__.startswith("UDAF_") \
         or type(fn).__module__.split(".")[0] != "repro"
-
-
-def _walk_function_calls(expr: Expression):
-    """Yield every node of an expression tree (reuses the analysis walker)."""
-    from repro.sql.analysis import _walk
-    yield from _walk(expr)
+    return AggregateInfo(name=name, function=fn, user_defined=user_defined)
 
 
 def contexts_from_statement(
@@ -240,20 +228,15 @@ def contexts_from_statement(
     ``__contains__`` mapping of tables) enables the data-dependent
     rules; without it they stay silent.
     """
-    from repro.sql.analysis import iter_selects
     registry = registry or default_registry
-    contexts: list[LintContext] = []
-    first = True
-    for select in iter_selects(statement):
-        # statement-level ORDER BY is scanned once, with the first
-        # (top-level) SELECT, not re-attributed to every subquery
-        contexts.append(_context_from_select(
-            select, statement if first else None,
-            catalog=catalog, registry=registry,
-            null_mode=null_mode, blowup_threshold=blowup_threshold,
-            span=span, statement_index=statement_index))
-        first = False
-    return contexts
+    # statement-level ORDER BY is scanned once, with the first
+    # (top-level) SELECT, not re-attributed to every subquery
+    return [_context_from_select(
+                select, statement if index == 0 else None,
+                catalog=catalog, registry=registry,
+                null_mode=null_mode, blowup_threshold=blowup_threshold,
+                span=span, statement_index=statement_index)
+            for index, select in enumerate(iter_selects(statement))]
 
 
 def _context_from_select(select: SelectStmt,
@@ -262,67 +245,47 @@ def _context_from_select(select: SelectStmt,
                          null_mode: NullMode, blowup_threshold: int,
                          span: tuple[int, int] | None,
                          statement_index: int | None) -> LintContext:
-    group = select.group
-    plain: list[str] = []
-    rollup: list[str] = []
-    cube: list[str] = []
-    dim_exprs: list[Optional[Expression]] = []
-    if group is not None:
-        for bucket, names in ((group.plain, plain),
-                              (group.rollup, rollup),
-                              (group.cube, cube)):
-            for expr, alias in bucket:
-                names.append(alias or expr.default_name())
-                dim_exprs.append(expr)
+    bound = bind(select, registry)
+    aggregates = [_sql_aggregate_info(a) for a in bound.aggregates]
+    seen = {a.key for a in bound.aggregates}
 
-    # aggregate calls, GROUPING() calls, scalar function names
-    agg_calls: dict[tuple, AggregateCall] = {}
+    # GROUPING() calls and scalar function names; statement-level ORDER
+    # BY aggregates join the bound ones
     grouping_calls: list[str] = []
     unknown_functions: list[str] = []
     select_aliases = {item.alias.upper() for item in select.items
                       if item.alias}
 
-    def scan(expr: Expression) -> None:
-        from repro.engine.expressions import FunctionCall
-        for node in _walk_function_calls(expr):
-            if isinstance(node, AggregateCall):
-                agg_calls.setdefault(node.key(), node)
-            elif isinstance(node, GroupingCall):
-                grouping_calls.append(node.column)
-            elif isinstance(node, FunctionCall):
-                # the Section 4 alias-addressing shorthand makes a
-                # select alias callable; anything else must resolve in
-                # the scalar-function registry
-                name = node.name.upper()
-                if name not in node.registry \
-                        and name not in select_aliases \
-                        and name not in unknown_functions:
-                    unknown_functions.append(name)
-
-    roots: list[Expression] = []
-    for item in select.items:
-        if not isinstance(item.expression, Star):
-            roots.append(item.expression)
-    if select.having is not None:
-        roots.append(select.having)
+    roots = select_roots(bound.select)
     if statement is not None:
-        for item in statement.order_by:
-            roots.append(item.expression)
-    for root in roots:
-        scan(root)
-
-    aggregates = tuple(_resolve_sql_aggregate(call, registry)
-                       for call in agg_calls.values())
+        roots.extend(bound.rewrite(item.expression)
+                     for item in statement.order_by)
+    for node in (node for root in roots for node in walk(root)):
+        if isinstance(node, AggregateCall):
+            if node.key() not in seen:
+                seen.add(node.key())
+                aggregates.append(_sql_aggregate_info(bind_aggregate(
+                    node, registry, node.default_name())))
+        elif isinstance(node, GroupingCall):
+            grouping_calls.append(node.column)
+        elif isinstance(node, FunctionCall):
+            # the Section 4 alias-addressing shorthand makes a select
+            # alias callable; anything else must resolve in the
+            # scalar-function registry
+            name = node.name.upper()
+            if name not in node.registry \
+                    and name not in select_aliases \
+                    and name not in unknown_functions:
+                unknown_functions.append(name)
 
     # output references that are neither grouped nor aggregated -- the
     # executor rejects these at plan time; statically they are the
     # Section 3.5 decoration discussion
     nongrouped: list[str] = []
-    dim_names = set(plain) | set(rollup) | set(cube)
-    if group is not None:
-        grouped_sources: set[str] = set(dim_names)
-        for expr, alias in group.all_items():
-            grouped_sources |= expr.references()
+    if select.group is not None:
+        grouped_sources: set[str] = set()
+        for expr, name in bound.dims:
+            grouped_sources |= expr.references() | {name}
         for item in select.items:
             if isinstance(item.expression, Star):
                 continue
@@ -341,9 +304,9 @@ def _context_from_select(select: SelectStmt,
 
     return LintContext(
         source="sql",
-        plain=tuple(plain), rollup=tuple(rollup), cube=tuple(cube),
-        dim_exprs=tuple(dim_exprs),
-        aggregates=aggregates,
+        plain=bound.plain, rollup=bound.rollup, cube=bound.cube,
+        dim_exprs=tuple(expr for expr, _ in bound.dims),
+        aggregates=tuple(aggregates),
         algorithm="auto",
         null_mode=null_mode,
         table=table,
@@ -358,37 +321,13 @@ def _context_from_select(select: SelectStmt,
 
 
 def _plain_references(expr: Expression) -> frozenset[str]:
-    """Column references outside aggregate arguments and GROUPING()."""
-    from repro.engine.expressions import (
-        Arithmetic, Between, BooleanExpr, CaseExpr, Comparison, InList,
-        IsNull, LikeExpr, NotExpr, FunctionCall,
-    )
-    if isinstance(expr, (AggregateCall, GroupingCall)):
+    """Column references outside aggregate and table-function arguments
+    and GROUPING()."""
+    if isinstance(expr, (AggregateCall, GroupingCall, TableFunctionCall)):
         return frozenset()
     if isinstance(expr, ColumnRef):
         return frozenset((expr.name,))
-    children: list[Expression] = []
-    if isinstance(expr, (Arithmetic, Comparison)):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, BooleanExpr):
-        children = list(expr.operands)
-    elif isinstance(expr, NotExpr):
-        children = [expr.operand]
-    elif isinstance(expr, (InList, IsNull, LikeExpr)):
-        children = [expr.operand]
-    elif isinstance(expr, Between):
-        children = [expr.operand, expr.low, expr.high]
-    elif isinstance(expr, CaseExpr):
-        for condition, value in expr.branches:
-            children.extend((condition, value))
-        if expr.default is not None:
-            children.append(expr.default)
-    elif isinstance(expr, FunctionCall):
-        children = list(expr.args)
-    out: frozenset[str] = frozenset()
-    for child in children:
-        out |= _plain_references(child)
-    return out
+    return frozenset().union(*map(_plain_references, children(expr)))
 
 
 def _resolve_spec_aggregate(request: Any,
@@ -397,22 +336,17 @@ def _resolve_spec_aggregate(request: Any,
     from repro.core.cube import AggregateRequest
     from repro.engine.groupby import AggregateSpec
 
-    if isinstance(request, AggregateFunction):
-        return AggregateInfo(name=request.name or type(request).__name__,
-                             function=request,
-                             user_defined=_is_user_defined(request))
     if isinstance(request, AggregateSpec):
-        fn = request.function
-        return AggregateInfo(name=fn.name or type(fn).__name__, function=fn,
-                             user_defined=_is_user_defined(fn))
-    if isinstance(request, tuple):
+        request = request.function
+    elif isinstance(request, tuple):
         request = AggregateRequest(*request)
+    if isinstance(request, AggregateRequest) \
+            and isinstance(request.function, AggregateFunction):
+        request = request.function
+    if isinstance(request, AggregateFunction):
+        return _function_info(request.name or type(request).__name__,
+                              request)
     if isinstance(request, AggregateRequest):
-        if isinstance(request.function, AggregateFunction):
-            fn = request.function
-            return AggregateInfo(name=fn.name or type(fn).__name__,
-                                 function=fn,
-                                 user_defined=_is_user_defined(fn))
         name = request.function
         lookup = "COUNT(*)" if (name.upper() == "COUNT"
                                 and request.input == "*") else name
@@ -422,8 +356,7 @@ def _resolve_spec_aggregate(request: Any,
             return AggregateInfo(name=name, function=None, known=False)
         except Exception:
             return AggregateInfo(name=name, function=None, known=True)
-        return AggregateInfo(name=name, function=fn,
-                             user_defined=_is_user_defined(fn))
+        return _function_info(name, fn)
     return AggregateInfo(name=repr(request), function=None, known=False)
 
 

@@ -29,11 +29,13 @@ from repro.sql.ast_nodes import (
     SelectStmt,
     Star,
     Statement,
+    TableFunctionCall,
     UnionStmt,
 )
 
-__all__ = ["count_aggregates", "count_group_bys", "iter_statements",
-           "iter_selects", "iter_expressions", "iter_aggregate_calls"]
+__all__ = ["children", "count_aggregates", "count_group_bys",
+           "iter_aggregate_calls", "iter_expressions", "iter_selects",
+           "iter_statements", "walk"]
 
 
 def iter_statements(statement: Statement) -> Iterator[Statement]:
@@ -42,7 +44,7 @@ def iter_statements(statement: Statement) -> Iterator[Statement]:
     depth-first."""
     yield statement
     for expr in _statement_expressions(statement):
-        for node in _walk(expr):
+        for node in walk(expr):
             if isinstance(node, ScalarSubquery):
                 yield from iter_statements(node.statement)
 
@@ -86,37 +88,40 @@ def _select_expressions(select: SelectStmt) -> Iterator[Expression]:
             yield join.on
 
 
-def _walk(expr: Expression) -> Iterator[Expression]:
-    yield expr
-    children: list[Expression] = []
+def children(expr: Expression) -> list[Expression]:
+    """A node's direct sub-expressions, aggregate and table-function
+    arguments included (a subquery is a leaf)."""
     if isinstance(expr, (Arithmetic, Comparison)):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, BooleanExpr):
-        children = list(expr.operands)
-    elif isinstance(expr, NotExpr):
-        children = [expr.operand]
-    elif isinstance(expr, (InList, IsNull, LikeExpr)):
-        children = [expr.operand]
-    elif isinstance(expr, Between):
-        children = [expr.operand, expr.low, expr.high]
-    elif isinstance(expr, CaseExpr):
-        for condition, value in expr.branches:
-            children.extend((condition, value))
-        if expr.default is not None:
-            children.append(expr.default)
-    elif isinstance(expr, FunctionCall):
-        children = list(expr.args)
-    elif isinstance(expr, AggregateCall):
-        if expr.argument != "*":
-            children = [expr.argument]
-    for child in children:
-        yield from _walk(child)
+        return [expr.left, expr.right]
+    if isinstance(expr, BooleanExpr):
+        return list(expr.operands)
+    if isinstance(expr, (NotExpr, InList, IsNull, LikeExpr)):
+        return [expr.operand]
+    if isinstance(expr, Between):
+        return [expr.operand, expr.low, expr.high]
+    if isinstance(expr, CaseExpr):
+        out = [node for branch in expr.branches for node in branch]
+        return out + ([expr.default] if expr.default is not None else [])
+    if isinstance(expr, FunctionCall):
+        return list(expr.args)
+    if isinstance(expr, AggregateCall) and expr.argument != "*":
+        return [expr.argument]
+    if isinstance(expr, TableFunctionCall):
+        return [expr.argument]
+    return []
+
+
+def walk(expr: Expression) -> Iterator[Expression]:
+    """Every node of ``expr``, pre-order, through :func:`children`."""
+    yield expr
+    for child in children(expr):
+        yield from walk(child)
 
 
 def iter_expressions(statement: Statement) -> Iterator[Expression]:
     for nested in iter_statements(statement):
         for expr in _statement_expressions(nested):
-            yield from _walk(expr)
+            yield from walk(expr)
 
 
 def iter_aggregate_calls(statement: Statement) -> Iterator[AggregateCall]:

@@ -22,8 +22,9 @@ rewrite" bugs into loud failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+from repro.aggregates import redbrick
 from repro.engine.expressions import Expression
 from repro.errors import SQLPlanError
 
@@ -48,10 +49,17 @@ __all__ = [
     "ExplainStmt",
 ]
 
-TABLE_FUNCTIONS = frozenset({
-    "RANK", "N_TILE", "NTILE", "RATIO_TO_TOTAL", "CUMULATIVE",
-    "RUNNING_SUM", "RUNNING_AVERAGE",
-})
+#: Red Brick whole-column functions: name -> (implementation, whether
+#: the call's first extra argument is the integer ``n``)
+TABLE_FUNCTIONS: dict[str, tuple[Callable[..., list], bool]] = {
+    "RANK": (redbrick.rank, False),
+    "N_TILE": (redbrick.n_tile, True),
+    "NTILE": (redbrick.n_tile, True),
+    "RATIO_TO_TOTAL": (redbrick.ratio_to_total, False),
+    "CUMULATIVE": (redbrick.cumulative, False),
+    "RUNNING_SUM": (redbrick.running_sum, True),
+    "RUNNING_AVERAGE": (redbrick.running_average, True),
+}
 
 
 class _Unevaluable(Expression):

@@ -8,16 +8,19 @@ The execution pipeline for one SELECT:
    are evaluated once and replaced by literals (the Section 4
    percent-of-total pattern);
 3. **WHERE** -- row filter;
-4. **table functions** -- Red Brick whole-column functions (``N_tile``,
-   ``Rank``...) are computed over the filtered input and become derived
-   columns, so they can serve as grouping columns (the paper's
-   ``GROUP BY N_tile(Temp, 10) AS Percentile`` query);
-5. **grouping** -- plain / ROLLUP / CUBE per the Section 3.2 clause,
+4. **binding** -- :func:`repro.sql.bind.bind` resolves the SELECT
+   once (table-function slots, dimensions, grouping spec, aggregates);
+   the steps below, EXPLAIN, the cache key and the linter all read it;
+5. **table functions** -- Red Brick whole-column functions (``N_tile``,
+   ``Rank``...) are computed over the filtered input and become the
+   slots' derived columns, so they can serve as grouping columns (the
+   paper's ``GROUP BY N_tile(Temp, 10) AS Percentile`` query);
+6. **grouping** -- plain / ROLLUP / CUBE per the Section 3.2 clause,
    executed by the :mod:`repro.compute` machinery with automatic
    algorithm choice;
-6. **HAVING**, **select-list projection** (with ``GROUPING()``
+7. **HAVING**, **select-list projection** (with ``GROUPING()``
    rewritten to an ALL test), **DISTINCT**;
-7. statement level: **UNION [ALL]** folding and **ORDER BY**.
+8. statement level: **UNION [ALL]** folding and **ORDER BY**.
 """
 
 from __future__ import annotations
@@ -26,27 +29,17 @@ import time
 from typing import Any, Callable, Optional
 
 from repro.aggregates.registry import AggregateRegistry, default_registry
-from repro.core.grouping import GroupingSpec
 from repro.compute.base import build_task
 from repro.compute.optimizer import choose_algorithm, make_algorithm
 from repro.engine.catalog import Catalog
 from repro.engine.expressions import (
-    Arithmetic,
-    Between,
-    BooleanExpr,
-    CaseExpr,
     ColumnRef,
-    Comparison,
     Expression,
     FunctionCall,
-    InList,
-    IsNull,
-    LikeExpr,
     Literal,
-    NotExpr,
     column_position,
 )
-from repro.engine.groupby import AggregateSpec, hash_group_by
+from repro.engine.groupby import hash_group_by
 from repro.engine.join import hash_join, nested_loop_join
 from repro.engine.operators import distinct as distinct_op
 from repro.engine.operators import filter_rows, union_all, union_distinct
@@ -62,7 +55,6 @@ from repro.sql.ast_nodes import (
     CreateTableStmt,
     DeleteStmt,
     ExplainStmt,
-    GroupClause,
     GroupingCall,
     InsertStmt,
     OrderItem,
@@ -71,85 +63,14 @@ from repro.sql.ast_nodes import (
     SelectStmt,
     Star,
     Statement,
-    TableFunctionCall,
     UnionStmt,
     UpdateStmt,
 )
-from repro.sql.parser import parse, parse_any
-from repro.aggregates import redbrick
+from repro.sql.bind import BoundSelect, bind, contains, map_select, transform
+from repro.sql.parser import parse_any
 from repro.types import ALL, DataType, NullMode, sort_key
 
 __all__ = ["SQLSession", "execute"]
-
-
-# -- expression rewriting ------------------------------------------------------
-
-
-def transform(expr: Expression,
-              mapper: Callable[[Expression], Optional[Expression]]
-              ) -> Expression:
-    """Bottom-up rewrite: ``mapper`` may replace any node; children of
-    un-replaced nodes are rebuilt recursively."""
-    replacement = mapper(expr)
-    if replacement is not None:
-        return replacement
-    if isinstance(expr, Arithmetic):
-        return Arithmetic(expr.op, transform(expr.left, mapper),
-                          transform(expr.right, mapper))
-    if isinstance(expr, Comparison):
-        return Comparison(expr.op, transform(expr.left, mapper),
-                          transform(expr.right, mapper))
-    if isinstance(expr, BooleanExpr):
-        return BooleanExpr(expr.op,
-                           [transform(o, mapper) for o in expr.operands])
-    if isinstance(expr, NotExpr):
-        return NotExpr(transform(expr.operand, mapper))
-    if isinstance(expr, InList):
-        return InList(transform(expr.operand, mapper), expr.values)
-    if isinstance(expr, Between):
-        return Between(transform(expr.operand, mapper),
-                       transform(expr.low, mapper),
-                       transform(expr.high, mapper))
-    if isinstance(expr, IsNull):
-        return IsNull(transform(expr.operand, mapper), negated=expr.negated)
-    if isinstance(expr, LikeExpr):
-        return LikeExpr(transform(expr.operand, mapper), expr.pattern,
-                        negated=expr.negated)
-    if isinstance(expr, CaseExpr):
-        branches = [(transform(c, mapper), transform(v, mapper))
-                    for c, v in expr.branches]
-        default = transform(expr.default, mapper) \
-            if expr.default is not None else None
-        return CaseExpr(branches, default)
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(expr.name,
-                            [transform(a, mapper) for a in expr.args],
-                            registry=expr.registry,
-                            propagate_null=expr.propagate_null)
-    if isinstance(expr, AggregateCall):
-        argument = expr.argument
-        if argument != "*":
-            argument = transform(argument, mapper)
-        return AggregateCall(expr.name, argument, distinct=expr.distinct,
-                             extra_args=expr.extra_args)
-    if isinstance(expr, TableFunctionCall):
-        return TableFunctionCall(expr.name,
-                                 transform(expr.argument, mapper),
-                                 extra_args=expr.extra_args)
-    return expr
-
-
-def contains(expr: Expression, kind: type) -> bool:
-    found = False
-
-    def probe(node: Expression) -> Optional[Expression]:
-        nonlocal found
-        if isinstance(node, kind):
-            found = True
-        return None
-
-    transform(expr, probe)
-    return found
 
 
 class _IsAllTest(Expression):
@@ -168,19 +89,6 @@ class _IsAllTest(Expression):
 
     def default_name(self) -> str:
         return f"GROUPING({self.column})"
-
-
-_TABLE_FUNCTION_IMPL = {
-    "RANK": lambda values, extra: redbrick.rank(values),
-    "N_TILE": lambda values, extra: redbrick.n_tile(values, int(extra[0])),
-    "NTILE": lambda values, extra: redbrick.n_tile(values, int(extra[0])),
-    "RATIO_TO_TOTAL": lambda values, extra: redbrick.ratio_to_total(values),
-    "CUMULATIVE": lambda values, extra: redbrick.cumulative(values),
-    "RUNNING_SUM": lambda values, extra: redbrick.running_sum(
-        values, int(extra[0])),
-    "RUNNING_AVERAGE": lambda values, extra: redbrick.running_average(
-        values, int(extra[0])),
-}
 
 
 class SQLSession:
@@ -498,34 +406,23 @@ class SQLSession:
         if select.where is not None:
             steps.append((f"{prefix}filter", repr(select.where)))
 
-        group = select.group
-        if group is not None:
-            spec = GroupingSpec(
-                plain=tuple(alias or expr.default_name()
-                            for expr, alias in group.plain),
-                rollup=tuple(alias or expr.default_name()
-                             for expr, alias in group.rollup),
-                cube=tuple(alias or expr.default_name()
-                           for expr, alias in group.cube))
-            steps.append((f"{prefix}group", spec.describe()))
-            steps.append((f"{prefix}grouping sets",
-                          str(spec.set_count())))
+        if select.group is not None:
             # estimate result size + algorithm on the real input when
             # the table resolves
+            table, resolved = None, select
             if select.table is not None and select.table.name in \
                     self.catalog:
                 table = self._run_from(select)
                 resolved = self._resolve_subqueries_in_select(select)
-                table, rewritten = self._materialize_table_functions(
-                    table, resolved)
-                dims = [(expr, alias or expr.default_name())
-                        for expr, alias in rewritten.group.all_items()]
-                probe = self._collect_aggregate_specs(rewritten)
-                if not probe:
-                    from repro.aggregates.distributive import CountStar
-                    probe = [AggregateSpec(function=CountStar(),
-                                           input="*", name="__n")]
-                task = build_task(table, dims, probe,
+            bound = bind(resolved, self.registry)
+            spec = bound.spec()
+            steps.append((f"{prefix}group", spec.describe()))
+            steps.append((f"{prefix}grouping sets",
+                          str(spec.set_count())))
+            if table is not None:
+                table = self._materialize_table_functions(table, bound)
+                specs, _ = bound.measures()
+                task = build_task(table, bound.dims, specs,
                                   spec.grouping_sets())
                 cardinalities = task.cardinalities()
                 estimate = math.prod(c + 1 for c in cardinalities) \
@@ -533,7 +430,7 @@ class SQLSession:
                 steps.append((
                     f"{prefix}cardinalities",
                     ", ".join(f"{name}={c}" for (_, name), c
-                              in zip(dims, cardinalities))))
+                              in zip(bound.dims, cardinalities))))
                 steps.append((f"{prefix}estimated rows",
                               f"<= {estimate} (Π(Ci+1) law)"))
                 from repro.core.lattice import CubeLattice
@@ -576,35 +473,25 @@ class SQLSession:
         rctx.checkpoint("sql.from")
         table = self._run_from(select)
 
-        subquery_free = self._resolve_subqueries_in_select(select)
+        resolved = self._resolve_subqueries_in_select(select)
 
-        if subquery_free.where is not None:
+        if resolved.where is not None:
             rctx.checkpoint("sql.where")
-            where = subquery_free.where
-            if contains(where, AggregateCall):
+            if contains(resolved.where, AggregateCall):
                 raise SQLPlanError("aggregates are not allowed in WHERE")
-            table = filter_rows(table, where)
+            table = filter_rows(table, resolved.where)
 
-        source = self._cache_source_signature(subquery_free) \
+        bound = bind(resolved, self.registry)
+        source = self._cache_source_signature(resolved, bound) \
             if self.cache is not None else None
+        table = self._materialize_table_functions(table, bound)
 
-        table, rewritten = self._materialize_table_functions(
-            table, subquery_free)
-
-        has_aggregates = any(
-            not isinstance(item.expression, Star)
-            and contains(item.expression, AggregateCall)
-            for item in rewritten.items)
-        if rewritten.having is not None:
-            has_aggregates = has_aggregates or contains(
-                rewritten.having, AggregateCall)
-
-        if rewritten.group is None and not has_aggregates:
-            result = self._project_plain(table, rewritten.items)
+        if resolved.group is None and not bound.aggregates:
+            result = self._project_plain(table, bound.select.items)
         else:
-            result = self._run_grouped(table, rewritten, source=source)
+            result = self._run_grouped(table, bound, source=source)
 
-        if rewritten.distinct:
+        if resolved.distinct:
             result = distinct_op(result)
         if self.null_mode is NullMode.NULL_WITH_GROUPING:
             result = self._replace_all_with_null(result)
@@ -630,23 +517,7 @@ class SQLSession:
                 return Literal(self._scalar(expr))
             return None
 
-        items = [item if isinstance(item.expression, Star)
-                 else SelectItem(transform(item.expression, resolve),
-                                 item.alias)
-                 for item in select.items]
-        where = transform(select.where, resolve) \
-            if select.where is not None else None
-        having = transform(select.having, resolve) \
-            if select.having is not None else None
-        group = select.group
-        if group is not None:
-            group = GroupClause(
-                plain=[(transform(e, resolve), a) for e, a in group.plain],
-                rollup=[(transform(e, resolve), a) for e, a in group.rollup],
-                cube=[(transform(e, resolve), a) for e, a in group.cube])
-        return SelectStmt(items=items, table=select.table,
-                          joins=select.joins, where=where, group=group,
-                          having=having, distinct=select.distinct)
+        return map_select(select, resolve)
 
     def _scalar(self, subquery: ScalarSubquery) -> Any:
         result = self.run(subquery.statement)
@@ -656,17 +527,14 @@ class SQLSession:
                 f"{len(result.schema)} columns; needs exactly 1 x 1")
         return result.rows[0][0]
 
-    def _cache_source_signature(self,
-                                select: SelectStmt) -> Optional[tuple]:
-        """The semantic-cache source key for a (subquery-resolved,
-        pre-table-function) SELECT: the base/joined tables with their
-        catalog versions, the WHERE predicate's structural repr, the
-        join shape, and the *ordered* table-function keys.
-
-        The table-function keys matter because the rewrite names
-        derived columns positionally (``__tf0_rank``): two queries
-        grouping different RANK() arguments would otherwise collide on
-        the same dimension repr.  ``None`` (no base table, or an
+    def _cache_source_signature(self, select: SelectStmt,
+                                bound: BoundSelect) -> Optional[tuple]:
+        """The semantic-cache source key for a subquery-resolved SELECT:
+        the base/joined tables with their catalog versions, the WHERE
+        predicate's structural repr, the join shape, and the *ordered*
+        slot keys -- slots are named positionally (``__tf0_rank``), so
+        two queries grouping different RANK() arguments would otherwise
+        collide on one dimension repr.  ``None`` (no base table, or an
         unknown one) disables caching for this query.
         """
         if select.table is None or select.table.name not in self.catalog:
@@ -682,93 +550,30 @@ class SQLSession:
             joins.append((join.table.name.upper(),
                           tuple(join.using) if join.using
                           else repr(join.on)))
-        tf_keys: list[tuple] = []
-
-        def collect(expr: Expression) -> Optional[Expression]:
-            if isinstance(expr, TableFunctionCall):
-                key = expr.key()
-                if key not in tf_keys:
-                    tf_keys.append(key)
-            return None
-
-        # same collection order as _materialize_table_functions, so
-        # positional __tfN names map to the same calls
-        for item in select.items:
-            if not isinstance(item.expression, Star):
-                transform(item.expression, collect)
-        if select.group is not None:
-            for expr, _ in select.group.all_items():
-                transform(expr, collect)
-        if select.having is not None:
-            transform(select.having, collect)
-
         where_sig = repr(select.where) if select.where is not None else ""
-        return (tuple(tables), where_sig, tuple(joins), tuple(tf_keys))
+        return (tuple(tables), where_sig, tuple(joins),
+                tuple(slot.key for slot in bound.slots))
 
-    def _materialize_table_functions(
-            self, table: Table,
-            select: SelectStmt) -> tuple[Table, SelectStmt]:
-        """Compute Red Brick whole-column functions as derived columns."""
-        calls: dict[tuple, TableFunctionCall] = {}
-
-        def collect(expr: Expression) -> Optional[Expression]:
-            if isinstance(expr, TableFunctionCall):
-                calls.setdefault(expr.key(), expr)
-            return None
-
-        for item in select.items:
-            if not isinstance(item.expression, Star):
-                transform(item.expression, collect)
-        if select.group is not None:
-            for expr, _ in select.group.all_items():
-                transform(expr, collect)
-        if select.having is not None:
-            transform(select.having, collect)
-        if not calls:
-            return table, select
-
+    def _materialize_table_functions(self, table: Table,
+                                     bound: BoundSelect) -> Table:
+        """Append one derived column per table-function slot."""
+        if not bound.slots:
+            return table
         names = table.schema.names
-        derived_names: dict[tuple, str] = {}
         columns = list(table.schema.columns)
         new_column_values: list[list] = []
-        for position, (key, call) in enumerate(calls.items()):
-            impl = _TABLE_FUNCTION_IMPL.get(call.name)
-            if impl is None:
-                raise SQLPlanError(f"unknown table function {call.name}")
-            values = [call.argument.evaluate(dict(zip(names, row)))
+        for slot in bound.slots:
+            values = [slot.call.argument.evaluate(dict(zip(names, row)))
                       for row in table]
-            derived = impl(values, call.extra_args)
-            column_name = f"__tf{position}_{call.name.lower()}"
-            derived_names[key] = column_name
-            columns.append(Column(column_name, DataType.ANY))
-            new_column_values.append(derived)
+            if slot.error is not None:
+                raise slot.error
+            columns.append(Column(slot.column, DataType.ANY))
+            new_column_values.append(slot.compute(values))
 
-        out = Table(Schema(columns))
-        for row_index, row in enumerate(table):
-            extra = tuple(vals[row_index] for vals in new_column_values)
-            out.append(row + extra, validate=False)
-
-        def rewrite(expr: Expression) -> Optional[Expression]:
-            if isinstance(expr, TableFunctionCall):
-                return ColumnRef(derived_names[expr.key()])
-            return None
-
-        items = [item if isinstance(item.expression, Star)
-                 else SelectItem(transform(item.expression, rewrite),
-                                 item.alias)
-                 for item in select.items]
-        group = select.group
-        if group is not None:
-            group = GroupClause(
-                plain=[(transform(e, rewrite), a) for e, a in group.plain],
-                rollup=[(transform(e, rewrite), a) for e, a in group.rollup],
-                cube=[(transform(e, rewrite), a) for e, a in group.cube])
-        having = transform(select.having, rewrite) \
-            if select.having is not None else None
-        return out, SelectStmt(items=items, table=select.table,
-                               joins=select.joins, where=select.where,
-                               group=group, having=having,
-                               distinct=select.distinct)
+        return Table(Schema(columns),
+                     [row + extra for row, extra
+                      in zip(table.rows, zip(*new_column_values))],
+                     validate=False)
 
     # -- plain (non-grouped) projection ------------------------------------
 
@@ -830,78 +635,25 @@ class SQLSession:
 
     # -- grouped execution -------------------------------------------------
 
-    def _run_grouped(self, table: Table, select: SelectStmt, *,
+    def _run_grouped(self, table: Table, bound: BoundSelect, *,
                      source: Optional[tuple] = None) -> Table:
-        group = select.group
-
-        # dimension list with output aliases
-        dims: list[tuple[Expression, str]] = []
-        plain_names: list[str] = []
-        rollup_names: list[str] = []
-        cube_names: list[str] = []
-        if group is not None:
-            for bucket, names_out in ((group.plain, plain_names),
-                                      (group.rollup, rollup_names),
-                                      (group.cube, cube_names)):
-                for expr, alias in bucket:
-                    name = alias or expr.default_name()
-                    dims.append((expr, name))
-                    names_out.append(name)
-
-        # collect aggregate calls from select list and HAVING
-        agg_calls: dict[tuple, AggregateCall] = {}
-
-        def collect(expr: Expression) -> Optional[Expression]:
-            if isinstance(expr, AggregateCall):
-                agg_calls.setdefault(expr.key(), expr)
-            return None
-
-        for item in select.items:
-            if isinstance(item.expression, Star):
-                raise SQLPlanError("SELECT * cannot be combined with "
-                                   "GROUP BY or aggregates")
-            transform(item.expression, collect)
-        if select.having is not None:
-            transform(select.having, collect)
-
-        specs: list[AggregateSpec] = []
-        agg_names: dict[tuple, str] = {}
-        agg_sigs: list[tuple] = []
-        taken = {name for _, name in dims}
-        for position, (key, call) in enumerate(agg_calls.items()):
-            fn = self._make_aggregate(call)
-            name = call.default_name()
-            if name in taken:
-                name = f"{name}#{position}"
-            taken.add(name)
-            agg_names[key] = name
-            agg_sigs.append(key)
-            specs.append(AggregateSpec(function=fn, input=call.argument,
-                                       name=name))
-        if not specs:
-            # GROUP BY with no aggregates: count rows invisibly so the
-            # grouping machinery still has work; column dropped later
-            from repro.aggregates.distributive import CountStar
-            hidden = "__rows"
-            specs.append(AggregateSpec(function=CountStar(), input="*",
-                                       name=hidden))
-            agg_names[("__rows",)] = hidden
-            # structurally this is COUNT(*): a cached explicit COUNT(*)
-            # column can serve it, and vice versa
-            agg_sigs.append(("COUNT", "*", False, ()))
+        select = bound.select
+        if any(isinstance(item.expression, Star) for item in select.items):
+            raise SQLPlanError("SELECT * cannot be combined with "
+                               "GROUP BY or aggregates")
+        specs, agg_sigs = bound.measures()
+        dims = bound.dims
 
         # the workload-history identity: the same order-insensitive
         # dim/agg signatures the semantic cache keys on
         querylog.annotate(signature=querylog.cuboid_signature(
-            tuple(repr(expr) for expr, _ in dims), tuple(agg_sigs)))
+            tuple(repr(expr) for expr, _ in dims), agg_sigs))
 
         if not dims:
             grouped = hash_group_by(table, [], specs).table
         else:
             rctx.checkpoint("sql.group")
-            spec = GroupingSpec(plain=tuple(plain_names),
-                                rollup=tuple(rollup_names),
-                                cube=tuple(cube_names))
+            spec = bound.spec()
             grouped = None
             if self.cache is not None and source is not None:
                 grouped = self.cache.serve(
@@ -910,7 +662,7 @@ class SQLSession:
                     dim_sigs=tuple(repr(expr) for expr, _ in dims),
                     dim_names=tuple(name for _, name in dims),
                     specs=specs,
-                    agg_sigs=tuple(agg_sigs),
+                    agg_sigs=agg_sigs,
                     agg_names=tuple(s.name for s in specs),
                     masks=tuple(spec.grouping_sets()))
             if grouped is None:
@@ -929,8 +681,9 @@ class SQLSession:
         # the Section 4 shorthand: an aggregate's select alias becomes a
         # cell-addressing function -- `SUM(Sales) AS total` makes
         # `total(ALL, ALL, ALL)` the global-cell value
-        alias_cells = self._alias_cell_lookup(select, agg_calls, agg_names,
-                                              dims, grouped)
+        agg_names = {a.key: a.name for a in bound.aggregates}
+        alias_cells = self._alias_cell_lookup(select, agg_names, dims,
+                                              grouped)
 
         def rewrite(expr: Expression) -> Optional[Expression]:
             if isinstance(expr, AggregateCall):
@@ -959,31 +712,8 @@ class SQLSession:
             out_items.append(SelectItem(rewritten, item.alias))
         return self._project_plain(grouped, out_items)
 
-    def _collect_aggregate_specs(self,
-                                 select: SelectStmt) -> list[AggregateSpec]:
-        """The query's aggregate calls as specs (used by EXPLAIN so the
-        algorithm choice reflects the real functions, e.g. a holistic
-        MEDIAN routing to the 2^N-algorithm)."""
-        calls: dict[tuple, AggregateCall] = {}
-
-        def collect(expr: Expression) -> Optional[Expression]:
-            if isinstance(expr, AggregateCall):
-                calls.setdefault(expr.key(), expr)
-            return None
-
-        for item in select.items:
-            if not isinstance(item.expression, Star):
-                transform(item.expression, collect)
-        if select.having is not None:
-            transform(select.having, collect)
-        return [AggregateSpec(function=self._make_aggregate(call),
-                              input=call.argument,
-                              name=f"__agg{i}")
-                for i, (_, call) in enumerate(calls.items())]
-
-    def _alias_cell_lookup(self, select: SelectStmt, agg_calls: dict,
-                           agg_names: dict, dims: list,
-                           grouped: Table):
+    def _alias_cell_lookup(self, select: SelectStmt, agg_names: dict,
+                           dims: list, grouped: Table):
         """Build the Section 4 alias-addressing resolver.
 
         Returns a callable mapping a :class:`FunctionCall` whose name is
@@ -1039,26 +769,6 @@ class SQLSession:
                 raise SQLPlanError(
                     f"column {name!r} is neither grouped nor aggregated; "
                     "add it to GROUP BY or use repro.core decorations")
-
-    def _make_aggregate(self, call: AggregateCall):
-        name = call.name
-        if call.distinct:
-            if name == "COUNT":
-                fn = self.registry.create("COUNT_DISTINCT")
-            else:
-                raise SQLPlanError(
-                    f"DISTINCT is only supported with COUNT, not {name}")
-        elif name == "COUNT" and call.argument == "*":
-            fn = self.registry.create("COUNT(*)")
-        else:
-            fn = self.registry.create(name, *call.extra_args)
-        # SQL runs holistic functions in strict mode, so the optimizer
-        # routes them through the 2^N-algorithm exactly as Section 5
-        # prescribes (carrying mode is a library-level research knob)
-        from repro.aggregates.holistic import HolisticAggregate
-        if isinstance(fn, HolisticAggregate):
-            fn.carrying = False
-        return fn
 
     # -- output post-processing ------------------------------------------------
 

@@ -16,12 +16,19 @@ from repro.diagnostics import EXIT_FINDINGS, EXIT_OK
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_TABLE_ROW = re.compile(r"^\| ([A-Z]\d{3}) \| `([a-z0-9-]+)` \|")
+_TABLE_ROW = re.compile(
+    r"^\| ([A-Z]\d{3}) \| `([a-z0-9-]+)` \| ([a-z /]+) \|")
 
 
 def _catalogue_rows(doc: str) -> dict[str, str]:
+    return {code: slug for code, (slug, _) in _catalogue(doc).items()}
+
+
+def _catalogue(doc: str) -> dict[str, tuple[str, str]]:
+    """code -> (slug, severity) from a docs rule table."""
     text = (ROOT / "docs" / doc).read_text(encoding="utf-8")
-    return {match.group(1): match.group(2)
+    return {match.group(1): (match.group(2),
+                             match.group(3).replace(" ", ""))
             for match in map(_TABLE_ROW.match, text.splitlines())
             if match}
 
@@ -38,6 +45,21 @@ def test_rule_table_matches_registry(doc, module):
     assert set(documented) - set(rules) == set(), \
         f"documented in docs/{doc} but not registered"
     assert documented == {code: rule.slug for code, rule in rules.items()}
+
+
+@pytest.mark.parametrize("doc, module", [
+    ("LINTING.md", "repro.lint.rules"),
+    ("ANALYSIS.md", "repro.analysis.rules"),
+])
+def test_rule_table_severities_match_registry(doc, module):
+    """A rule that names a catalogue severity (the engine rules do; the
+    query rules name a paper section instead) names the one its docs
+    row gives -- ``--list-rules`` prints it."""
+    rules = importlib.import_module(module).RULES
+    documented = _catalogue(doc)
+    named = {code: rule.severity for code, rule in rules.items()
+             if rule.severity}
+    assert named == {code: documented[code][1] for code in named}
 
 
 SLOPPY_TREE = {

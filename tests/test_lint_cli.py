@@ -48,6 +48,16 @@ class TestExitCodes:
         path = _write(tmp_path, "q.sql", CLEAN_SQL)
         assert main([path, "--rules", "C999"]) == EXIT_USAGE
 
+    def test_unknown_rule_reads_as_a_usage_error(self, tmp_path, capsys):
+        # worded like repro.analysis, not as a lint failure; the library
+        # still raises LintError
+        path = _write(tmp_path, "q.sql", CLEAN_SQL)
+        assert main([path, "--rules", "C001,C999"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: unknown rule code(s): C999; known codes are C001, ")
+        with pytest.raises(LintError):
+            Linter(rules=["C999"])
+
     def test_empty_rule_selection_is_usage_error(self, tmp_path, capsys):
         # --rules "" would run zero rules and report a hollow "clean";
         # the shared CLI core makes it an explicit usage error
