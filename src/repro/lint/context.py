@@ -229,14 +229,18 @@ def contexts_from_statement(
     rules; without it they stay silent.
     """
     registry = registry or default_registry
-    # statement-level ORDER BY is scanned once, with the first
-    # (top-level) SELECT, not re-attributed to every subquery
-    return [_context_from_select(
-                select, statement if index == 0 else None,
-                catalog=catalog, registry=registry,
-                null_mode=null_mode, blowup_threshold=blowup_threshold,
-                span=span, statement_index=statement_index)
-            for index, select in enumerate(iter_selects(statement))]
+    contexts: list[LintContext] = []
+    first = True
+    for select in iter_selects(statement):
+        # statement-level ORDER BY is scanned once, with the first
+        # (top-level) SELECT, not re-attributed to every subquery
+        contexts.append(_context_from_select(
+            select, statement if first else None,
+            catalog=catalog, registry=registry,
+            null_mode=null_mode, blowup_threshold=blowup_threshold,
+            span=span, statement_index=statement_index))
+        first = False
+    return contexts
 
 
 def _context_from_select(select: SelectStmt,

@@ -33,9 +33,9 @@ from repro.sql.ast_nodes import (
     UnionStmt,
 )
 
-__all__ = ["children", "count_aggregates", "count_group_bys",
-           "iter_aggregate_calls", "iter_expressions", "iter_selects",
-           "iter_statements", "walk"]
+__all__ = ["count_aggregates", "count_group_bys", "iter_statements",
+           "iter_selects", "iter_expressions", "iter_aggregate_calls",
+           "children", "walk"]
 
 
 def iter_statements(statement: Statement) -> Iterator[Statement]:
@@ -104,7 +104,8 @@ def children(expr: Expression) -> list[Expression]:
         return out + ([expr.default] if expr.default is not None else [])
     if isinstance(expr, FunctionCall):
         return list(expr.args)
-    if isinstance(expr, AggregateCall) and expr.argument != "*":
+    if isinstance(expr, AggregateCall) \
+            and not isinstance(expr.argument, str):  # "*"
         return [expr.argument]
     if isinstance(expr, TableFunctionCall):
         return [expr.argument]

@@ -180,13 +180,6 @@ class SelectItem:
     expression: "Expression | Star"
     alias: Optional[str] = None
 
-    def output_name(self) -> str:
-        if self.alias:
-            return self.alias
-        if isinstance(self.expression, Star):
-            return "*"
-        return self.expression.default_name()
-
 
 @dataclass
 class TableRef:

@@ -59,8 +59,7 @@ from repro.sql.ast_nodes import (
 )
 
 __all__ = ["BoundAggregate", "BoundSelect", "TableFunctionSlot", "bind",
-           "bind_aggregate", "contains", "map_select", "select_roots",
-           "transform"]
+           "bind_aggregate", "map_select", "select_roots", "transform"]
 
 Mapper = Callable[[Expression], Optional[Expression]]
 
@@ -109,7 +108,7 @@ def transform(expr: Expression, mapper: Mapper) -> Expression:
                             propagate_null=expr.propagate_null)
     if isinstance(expr, AggregateCall):
         argument = expr.argument
-        if argument != "*":
+        if not isinstance(argument, str):  # "*"
             argument = transform(argument, mapper)
         return AggregateCall(expr.name, argument, distinct=expr.distinct,
                              extra_args=expr.extra_args)
@@ -129,10 +128,6 @@ def _first_seen(roots: list[Expression], kind: type) -> dict[tuple, Any]:
             if isinstance(node, kind):
                 found.setdefault(node.key(), node)
     return found
-
-
-def contains(expr: Expression, kind: type) -> bool:
-    return any(isinstance(node, kind) for node in walk(expr))
 
 
 def map_select(select: SelectStmt, mapper: Mapper) -> SelectStmt:
@@ -293,16 +288,19 @@ class BoundSelect:
         recorded construction error.  GROUP BY without aggregates
         counts rows in a hidden column, keyed as COUNT(*) so a cached
         COUNT(*) column can serve it."""
-        for aggregate in self.aggregates:
-            if aggregate.error is not None:
-                raise aggregate.error
         if not self.aggregates:
             return ([AggregateSpec(function=CountStar(), input="*",
                                    name="__rows")],
                     (("COUNT", "*", False, ()),))
-        return ([AggregateSpec(function=a.function, input=a.call.argument,
-                               name=a.name) for a in self.aggregates],
-                tuple(a.key for a in self.aggregates))
+        specs = []
+        for aggregate in self.aggregates:
+            if aggregate.error is not None:
+                raise aggregate.error
+            assert aggregate.function is not None
+            specs.append(AggregateSpec(function=aggregate.function,
+                                       input=aggregate.call.argument,
+                                       name=aggregate.name))
+        return specs, tuple(a.key for a in self.aggregates)
 
     def rewrite(self, expr: Expression) -> Expression:
         """``expr`` with its slotted table-function calls replaced by
@@ -318,13 +316,12 @@ def bind(select: SelectStmt, registry: AggregateRegistry) -> BoundSelect:
     if slots:
         select = map_select(select, _slot_mapper(slots))
 
-    dims: list[tuple[Expression, str]] = []
-    buckets: list[tuple[str, ...]] = []
     group = select.group or GroupClause()
-    for bucket in (group.plain, group.rollup, group.cube):
-        names = tuple(alias or expr.default_name() for expr, alias in bucket)
-        dims.extend((expr, name) for (expr, _), name in zip(bucket, names))
-        buckets.append(names)
+    plain, rollup, cube = (
+        tuple(alias or expr.default_name() for expr, alias in bucket)
+        for bucket in (group.plain, group.rollup, group.cube))
+    dims = [(expr, name) for (expr, _), name
+            in zip(group.all_items(), plain + rollup + cube)]
 
     aggregates: list[BoundAggregate] = []
     taken = {name for _, name in dims}
@@ -335,4 +332,6 @@ def bind(select: SelectStmt, registry: AggregateRegistry) -> BoundSelect:
             name = f"{name}#{position}"
         taken.add(name)
         aggregates.append(bind_aggregate(call, registry, name))
-    return BoundSelect(select, slots, dims, *buckets, tuple(aggregates))
+    return BoundSelect(select=select, slots=slots, dims=dims, plain=plain,
+                       rollup=rollup, cube=cube,
+                       aggregates=tuple(aggregates))

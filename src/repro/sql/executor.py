@@ -66,7 +66,8 @@ from repro.sql.ast_nodes import (
     UnionStmt,
     UpdateStmt,
 )
-from repro.sql.bind import BoundSelect, bind, contains, map_select, transform
+from repro.sql.analysis import walk
+from repro.sql.bind import BoundSelect, bind, map_select, transform
 from repro.sql.parser import parse_any
 from repro.types import ALL, DataType, NullMode, sort_key
 
@@ -477,7 +478,8 @@ class SQLSession:
 
         if resolved.where is not None:
             rctx.checkpoint("sql.where")
-            if contains(resolved.where, AggregateCall):
+            if any(isinstance(node, AggregateCall)
+                   for node in walk(resolved.where)):
                 raise SQLPlanError("aggregates are not allowed in WHERE")
             table = filter_rows(table, resolved.where)
 
