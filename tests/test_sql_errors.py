@@ -132,3 +132,49 @@ class TestRecovery:
     def test_create_duplicate_table(self, session):
         with pytest.raises(CatalogError):
             session.execute("CREATE TABLE Sales (a STRING);")
+
+
+@pytest.fixture(params=["uncached", "cached"])
+def any_session(request, sales):
+    from repro.serve import CuboidCache
+    catalog = Catalog()
+    catalog.register("Sales", sales)
+    cache = CuboidCache() if request.param == "cached" else None
+    return SQLSession(catalog, cache=cache)
+
+
+class TestGroupedErrorOrder:
+    """Which error a grouped SELECT raises, and in what order, is the
+    same with and without the cuboid cache."""
+
+    def test_compute_error_precedes_grouped_output_error(self, any_session):
+        from repro.errors import ExpressionError
+        with pytest.raises(ExpressionError, match="Engine"):
+            any_session.execute(
+                "SELECT Color, SUM(Engine) FROM Sales GROUP BY Model;")
+
+    def test_grouping_of_ungrouped_in_first_item(self, any_session):
+        with pytest.raises(SQLPlanError, match=r"GROUPING\(Color\) "
+                           "references a column that is not grouped"):
+            any_session.execute(
+                "SELECT GROUPING(Color), Year FROM Sales GROUP BY Model;")
+
+    def test_errors_follow_select_item_order(self, any_session):
+        with pytest.raises(SQLPlanError, match="column 'Year' is neither "
+                           "grouped nor aggregated"):
+            any_session.execute(
+                "SELECT Year, GROUPING(Color) FROM Sales GROUP BY Model;")
+
+    def test_distinct_error_precedes_grouped_output_error(self,
+                                                          any_session):
+        with pytest.raises(SQLPlanError,
+                           match="DISTINCT is only supported with COUNT"):
+            any_session.execute("SELECT Color, SUM(DISTINCT Units) "
+                                "FROM Sales GROUP BY Model;")
+
+    def test_alias_cell_coordinates_must_be_literals(self, any_session):
+        with pytest.raises(SQLPlanError,
+                           match="coordinates must be literals"):
+            any_session.execute(
+                "SELECT Model, SUM(Units) AS total, total(Year) AS t "
+                "FROM Sales GROUP BY CUBE Model;")
