@@ -100,8 +100,7 @@ def _array_eligible(task: CubeTask, dense_budget: int) -> bool:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 return False
     cardinalities = task.cardinalities()
-    dense_cells = math.prod(c + 1 for c in cardinalities) if cardinalities \
-        else 1
+    dense_cells = math.prod(c + 1 for c in cardinalities)
     return dense_cells <= dense_budget
 
 
@@ -116,52 +115,68 @@ def _core_over_budget(task: CubeTask,
     return core if core > memory_budget else None
 
 
+def _decide(task: CubeTask, algorithm: str | None,
+            memory_budget: int | None,
+            dense_budget: int) -> tuple[str, str]:
+    """The algorithm's name and the reason for it: a pinned name as is,
+    else the first of the Section 5 rules that applies."""
+    _validate_budgets(memory_budget, dense_budget)
+    if algorithm is not None and algorithm != "auto":
+        _factory(algorithm)  # an unknown name fails for EXPLAIN too
+        return algorithm, "pinned by the caller"
+    if not task.all_mergeable():
+        bad = [fn.name for fn in task.functions if not fn.mergeable]
+        return "2^N", (f"{bad} are holistic (no Iter_super), so only the "
+                       "2^N-algorithm applies (Section 5)")
+    core_estimate = _core_over_budget(task, memory_budget)
+    if core_estimate is not None:
+        return "external", (f"estimated core ({core_estimate} cells) "
+                            f"exceeds the memory budget ({memory_budget}); "
+                            "hybrid-hash partitioning required")
+    if _columnar_eligible(task):
+        return "columnar", ("every aggregate has a vector kernel and the "
+                            f"scan ({len(task.rows)} rows) is long enough "
+                            "to amortize batching "
+                            f"(threshold {COLUMNAR_ROW_THRESHOLD})")
+    if _array_eligible(task, dense_budget):
+        return "array", ("distributive numeric aggregates over a dense "
+                         f"cube within budget ({dense_budget} cells)")
+    return "from-core", ("mergeable aggregates; compute the core once and "
+                         "derive super-aggregates via Iter_super, smallest "
+                         "parent first")
+
+
 def choose_algorithm(task: CubeTask, *,
+                     algorithm: str | None = None,
                      memory_budget: int | None = None,
                      dense_budget: int = 1 << 20) -> CubeAlgorithm:
-    """Pick a cube algorithm per the Section 5 decision rules."""
-    _validate_budgets(memory_budget, dense_budget)
-    if not task.all_mergeable():
-        return TwoNAlgorithm()
-    if _core_over_budget(task, memory_budget) is not None:
-        return ExternalCubeAlgorithm(memory_budget=memory_budget)
-    if _columnar_eligible(task):
+    """The pinned ``algorithm`` or the Section 5 rules' pick, built with
+    the caller's budgets."""
+    name, _ = _decide(task, algorithm, memory_budget, dense_budget)
+    if name == "columnar":
         return ColumnarCubeAlgorithm(dense_budget=dense_budget)
-    if _array_eligible(task, dense_budget):
-        return ArrayCubeAlgorithm()
-    return FromCoreAlgorithm()
+    if name == "external" and memory_budget is not None:
+        return ExternalCubeAlgorithm(memory_budget=memory_budget)
+    return make_algorithm(name)
 
 
 def explain_choice(task: CubeTask, *,
+                   algorithm: str | None = None,
                    memory_budget: int | None = None,
                    dense_budget: int = 1 << 20) -> str:
     """Human-readable rationale for :func:`choose_algorithm`."""
-    _validate_budgets(memory_budget, dense_budget)
-    if not task.all_mergeable():
-        bad = [fn.name for fn in task.functions if not fn.mergeable]
-        return (f"2^N: {bad} are holistic (no Iter_super), so only the "
-                "2^N-algorithm applies (Section 5)")
-    core_estimate = _core_over_budget(task, memory_budget)
-    if core_estimate is not None:
-        return (f"external: estimated core ({core_estimate} cells) exceeds "
-                f"the memory budget ({memory_budget}); hybrid-hash "
-                "partitioning required")
-    if _columnar_eligible(task):
-        return (f"columnar: every aggregate has a vector kernel and the "
-                f"scan ({len(task.rows)} rows) is long enough to amortize "
-                f"batching (threshold {COLUMNAR_ROW_THRESHOLD})")
-    if _array_eligible(task, dense_budget):
-        return ("array: distributive numeric aggregates over a dense cube "
-                f"within budget ({dense_budget} cells)")
-    return ("from-core: mergeable aggregates; compute the core once and "
-            "derive super-aggregates via Iter_super, smallest parent first")
+    return "{}: {}".format(*_decide(task, algorithm, memory_budget,
+                                    dense_budget))
+
+
+def _factory(name: str) -> type[CubeAlgorithm]:
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise CubeError(
+            f"unknown algorithm {name!r}; have {sorted(ALGORITHMS)}") from None
 
 
 def make_algorithm(name: str, **kwargs) -> CubeAlgorithm:
     """Instantiate a registered algorithm by name."""
-    try:
-        factory = ALGORITHMS[name]
-    except KeyError:
-        raise CubeError(
-            f"unknown algorithm {name!r}; have {sorted(ALGORITHMS)}") from None
-    return factory(**kwargs)
+    return _factory(name)(**kwargs)

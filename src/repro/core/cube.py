@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.registry import AggregateRegistry, default_registry
 from repro.compute.base import CubeAlgorithm, CubeResult, build_task
-from repro.compute.optimizer import choose_algorithm, make_algorithm
+from repro.compute.optimizer import choose_algorithm
 from repro.core.all_value import to_null_mode
 from repro.core.grouping import GroupingSpec, Mask, names_to_mask
 from repro.engine.expressions import Expression
@@ -155,24 +155,17 @@ def _run_tracked(table: Table,
         raise CubeError("dims must match the grouping specification")
 
     if strict:
-        _lint_strict(table, dims, specs, spec, algorithm, null_mode,
-                     registry)
+        _lint_strict(table, dims, specs, algorithm, null_mode, registry,
+                     plain=spec.plain, rollup=spec.rollup, cube=spec.cube)
 
     task = build_task(table, dims, specs, spec.grouping_sets())
     querylog.annotate(signature=querylog.cuboid_signature(
         tuple(task.dims), tuple(s.name for s in specs)))
 
-    if algorithm is None or algorithm == "auto":
-        chosen = choose_algorithm(task, memory_budget=memory_budget)
-    elif isinstance(algorithm, str):
-        kwargs = {}
-        if algorithm == "external" and memory_budget is not None:
-            kwargs["memory_budget"] = memory_budget
-        chosen = make_algorithm(algorithm, **kwargs)
-    else:
-        chosen = algorithm
-
-    result = chosen.compute(task, context=context)
+    if not isinstance(algorithm, CubeAlgorithm):
+        algorithm = choose_algorithm(task, algorithm=algorithm,
+                                     memory_budget=memory_budget)
+    result = algorithm.compute(task, context=context)
     out = result.table
 
     if sort_result:
@@ -191,24 +184,21 @@ def _dim_names(dims: Sequence) -> tuple[str, ...]:
 
 
 def _lint_strict(table: Table, dims: Sequence, specs: Sequence,
-                 spec: GroupingSpec,
                  algorithm: "str | CubeAlgorithm | None",
-                 null_mode: NullMode,
-                 registry: AggregateRegistry) -> None:
+                 null_mode: NullMode, registry: AggregateRegistry, *,
+                 plain: Sequence[str] = (), rollup: Sequence[str] = (),
+                 cube: Sequence[str] = ()) -> None:
     """Pre-execution lint gate for ``strict=True`` entry points.
 
     Lazy import keeps :mod:`repro.lint` out of the core import graph.
     """
     from repro.engine.groupby import normalize_keys
     from repro.lint import lint_cube_spec, require_clean
-    normalized = normalize_keys(dims)
-    lint_dims = [(expr, alias) for expr, alias in normalized]
-    report = lint_cube_spec(
-        table, lint_dims, list(specs),
-        plain=spec.plain, rollup=spec.rollup, cube=spec.cube,
+    require_clean(lint_cube_spec(
+        table, normalize_keys(dims), list(specs),
+        plain=plain, rollup=rollup, cube=cube,
         algorithm=algorithm if algorithm is not None else "auto",
-        null_mode=null_mode, registry=registry)
-    require_clean(report)
+        null_mode=null_mode, registry=registry))
 
 
 def cube(table: Table, dims: Sequence, aggregates: Sequence, *,
@@ -348,27 +338,19 @@ def _grouping_sets_tracked(table: Table, dims: Sequence,
     if strict:
         # Arbitrary sets are a subset of the full cube lattice; lint the
         # covering CUBE (super-aggregates exist iff any stratum drops a dim).
-        from repro.engine.groupby import normalize_keys
-        from repro.lint import lint_cube_spec, require_clean
         full = names_to_mask(names, names)
         has_super = any(mask != full for mask in masks)
-        lint_dims = [(expr, alias) for expr, alias in normalize_keys(dims)]
-        require_clean(lint_cube_spec(
-            table, lint_dims, list(specs),
-            cube=names if has_super else (),
-            plain=() if has_super else names,
-            algorithm=algorithm if algorithm is not None else "auto",
-            null_mode=null_mode, registry=registry))
+        _lint_strict(table, dims, specs, algorithm, null_mode, registry,
+                     cube=names if has_super else (),
+                     plain=() if has_super else names)
     task = build_task(table, dims, specs, masks)
     querylog.annotate(signature=querylog.cuboid_signature(
         tuple(task.dims), tuple(s.name for s in specs)))
     if algorithm is None or algorithm == "auto":
-        chosen: CubeAlgorithm = make_algorithm("2^N")
-    elif isinstance(algorithm, str):
-        chosen = make_algorithm(algorithm)
-    else:
-        chosen = algorithm
-    out = chosen.compute(task).table
+        algorithm = "2^N"  # arbitrary sets run 2^N unless one is pinned
+    if not isinstance(algorithm, CubeAlgorithm):
+        algorithm = choose_algorithm(task, algorithm=algorithm)
+    out = algorithm.compute(task).table
     if sort_result:
         out = sort_op(out, list(task.dims))
     if null_mode is NullMode.NULL_WITH_GROUPING:

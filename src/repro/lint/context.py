@@ -34,11 +34,9 @@ from repro.sql.ast_nodes import (
     AggregateCall,
     GroupingCall,
     SelectStmt,
-    Star,
     Statement,
-    TableFunctionCall,
 )
-from repro.sql.analysis import children, iter_selects, walk
+from repro.sql.analysis import iter_selects, walk
 from repro.sql.bind import BoundAggregate, bind, bind_aggregate, select_roots
 from repro.types import NullMode
 
@@ -257,8 +255,6 @@ def _context_from_select(select: SelectStmt,
     # BY aggregates join the bound ones
     grouping_calls: list[str] = []
     unknown_functions: list[str] = []
-    select_aliases = {item.alias.upper() for item in select.items
-                      if item.alias}
 
     roots = select_roots(bound.select)
     if statement is not None:
@@ -273,30 +269,14 @@ def _context_from_select(select: SelectStmt,
         elif isinstance(node, GroupingCall):
             grouping_calls.append(node.column)
         elif isinstance(node, FunctionCall):
-            # the Section 4 alias-addressing shorthand makes a select
-            # alias callable; anything else must resolve in the
-            # scalar-function registry
+            # the Section 4 alias-addressing shorthand makes an
+            # aggregate's select alias callable; anything else must
+            # resolve in the scalar-function registry
             name = node.name.upper()
             if name not in node.registry \
-                    and name not in select_aliases \
+                    and name not in bound.alias_cells \
                     and name not in unknown_functions:
                 unknown_functions.append(name)
-
-    # output references that are neither grouped nor aggregated -- the
-    # executor rejects these at plan time; statically they are the
-    # Section 3.5 decoration discussion
-    nongrouped: list[str] = []
-    if select.group is not None:
-        grouped_sources: set[str] = set()
-        for expr, name in bound.dims:
-            grouped_sources |= expr.references() | {name}
-        for item in select.items:
-            if isinstance(item.expression, Star):
-                continue
-            refs = _plain_references(item.expression)
-            for name in refs:
-                if name not in grouped_sources and name not in nongrouped:
-                    nongrouped.append(name)
 
     table: Optional[Table] = None
     if catalog is not None and select.table is not None:
@@ -316,22 +296,13 @@ def _context_from_select(select: SelectStmt,
         table=table,
         total_rows=len(table) if table is not None else None,
         grouping_calls=tuple(grouping_calls),
-        nongrouped_outputs=tuple(nongrouped),
+        nongrouped_outputs=tuple(dict.fromkeys(
+            name for names in bound.ungrouped for name in names)),
         unknown_functions=tuple(unknown_functions),
         blowup_threshold=blowup_threshold,
         span=span,
         statement_index=statement_index,
     )
-
-
-def _plain_references(expr: Expression) -> frozenset[str]:
-    """Column references outside aggregate and table-function arguments
-    and GROUPING()."""
-    if isinstance(expr, (AggregateCall, GroupingCall, TableFunctionCall)):
-        return frozenset()
-    if isinstance(expr, ColumnRef):
-        return frozenset((expr.name,))
-    return frozenset().union(*map(_plain_references, children(expr)))
 
 
 def _resolve_spec_aggregate(request: Any,

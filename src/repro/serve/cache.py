@@ -203,8 +203,6 @@ class CuboidCache:
         request names, then aggregates) or ``None`` for bypass."""
         dim_sigs = tuple(dim_sigs)
         agg_sigs = tuple(agg_sigs)
-        querylog.annotate(
-            signature=querylog.cuboid_signature(dim_sigs, agg_sigs))
         if self._bypasses(dim_sigs, agg_sigs, specs):
             self.counters["bypasses"] += 1
             instrument.record_cache_lookup("bypass")

@@ -42,6 +42,7 @@ import signal
 import socket
 import threading
 import time
+import traceback
 from typing import Iterator, Optional
 
 from repro.analysis import locktrack
@@ -570,8 +571,8 @@ class QueryServer:
             with QUERY_LOG.track(statement=sql, trace_id=trace_id):
                 with self._admitted(ctx):
                     result = self._execute_locked(session, sql, ctx)
-        except ReproError as error:
-            return self._error(request_id, error, trace_id)
+        except Exception as error:
+            return self._failed(request_id, error, trace_id)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         payload = protocol.encode_table(result)
         self._maybe_checkpoint()
@@ -631,8 +632,8 @@ class QueryServer:
                         updates=updates)
                     if force_flush and outcome["flushed"] is None:
                         outcome["flushed"] = self.ingestor.flush(table)
-        except ReproError as error:
-            return self._error(request_id, error, trace_id)
+        except Exception as error:
+            return self._failed(request_id, error, trace_id)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._maybe_checkpoint()
         return {"id": request_id, "ok": True, "table": table.upper(),
@@ -704,6 +705,16 @@ class QueryServer:
                 self.checkpoint()
         finally:
             self._checkpoint_lock.release()
+
+    @classmethod
+    def _failed(cls, request_id, error: Exception, trace_id: str) -> dict:
+        """The error response for a failed query or ingest.  Anything
+        but a :class:`~repro.errors.ReproError` is a bug: its traceback
+        goes to stderr, and the connection still gets an answer and
+        stays open."""
+        if not isinstance(error, ReproError):
+            traceback.print_exc()
+        return cls._error(request_id, error, trace_id)
 
     @staticmethod
     def _error(request_id, error: Exception,

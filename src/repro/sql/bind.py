@@ -13,7 +13,10 @@ cache key and the linter all read its :class:`BoundSelect`:
   rewritten expression's default name), and their ``GroupingSpec``;
 - the **aggregates** in first-seen key order (select list, then
   HAVING), each with its output name and its function from
-  :func:`bind_aggregate`, the one SQL path to ``registry.create``.
+  :func:`bind_aggregate`, the one SQL path to ``registry.create``;
+- per select item of a grouped SELECT, the **ungrouped** columns it
+  reads (Section 3.5), which the executor rejects and the linter
+  reports as C004.
 
 Problems are recorded, not raised: the executor raises a recorded
 error at the pipeline step that needs the broken part, and the linter
@@ -47,11 +50,12 @@ from repro.engine.expressions import (
 )
 from repro.engine.groupby import AggregateSpec
 from repro.errors import ReproError, SQLPlanError
-from repro.sql.analysis import walk
+from repro.sql.analysis import children, walk
 from repro.sql.ast_nodes import (
     TABLE_FUNCTIONS,
     AggregateCall,
     GroupClause,
+    GroupingCall,
     SelectItem,
     SelectStmt,
     Star,
@@ -276,6 +280,11 @@ class BoundSelect:
     rollup: tuple[str, ...]
     cube: tuple[str, ...]
     aggregates: tuple[BoundAggregate, ...]
+    #: an aggregate's upper-cased select alias -> its output column:
+    #: the Section 4 alias-cell calls (``total(ALL)``)
+    alias_cells: dict[str, str]
+    #: per select item, its ungrouped columns (empty when not grouped)
+    ungrouped: tuple[tuple[str, ...], ...]
 
     def spec(self) -> GroupingSpec:
         """The grouping specification (raises
@@ -332,6 +341,30 @@ def bind(select: SelectStmt, registry: AggregateRegistry) -> BoundSelect:
             name = f"{name}#{position}"
         taken.add(name)
         aggregates.append(bind_aggregate(call, registry, name))
+
+    names = {a.key: a.name for a in aggregates}
+    alias_cells = {item.alias.upper(): names[item.expression.key()]
+                   for item in select.items if item.alias
+                   and isinstance(item.expression, AggregateCall)}
+    ungrouped: tuple[tuple[str, ...], ...] = ()
+    if select.group is not None or aggregates:
+        # dimensions count by output name, aggregates by output column
+        ungrouped = tuple(tuple(dict.fromkeys(_loose_columns(
+            item.expression, taken, alias_cells))) for item in select.items)
     return BoundSelect(select=select, slots=slots, dims=dims, plain=plain,
                        rollup=rollup, cube=cube,
-                       aggregates=tuple(aggregates))
+                       aggregates=tuple(aggregates),
+                       alias_cells=alias_cells, ungrouped=ungrouped)
+
+
+def _loose_columns(expr: Any, allowed: set[str],
+                   cells: dict[str, str]) -> list[str]:
+    """The columns ``expr`` reads outside ``allowed``, skipping aggregate
+    arguments, ``GROUPING()`` and alias-cell calls."""
+    if isinstance(expr, ColumnRef):
+        return [] if expr.name in allowed else [expr.name]
+    if isinstance(expr, (AggregateCall, GroupingCall)) or (
+            isinstance(expr, FunctionCall) and expr.name.upper() in cells):
+        return []
+    return [name for child in children(expr)
+            for name in _loose_columns(child, allowed, cells)]

@@ -14,7 +14,8 @@ The execution pipeline for one SELECT:
 5. **table functions** -- Red Brick whole-column functions (``N_tile``,
    ``Rank``...) are computed over the filtered input and become the
    slots' derived columns, so they can serve as grouping columns (the
-   paper's ``GROUP BY N_tile(Temp, 10) AS Percentile`` query);
+   paper's ``GROUP BY N_tile(Temp, 10) AS Percentile`` query) --
+   EXPLAIN runs steps 1-5 too;
 6. **grouping** -- plain / ROLLUP / CUBE per the Section 3.2 clause,
    executed by the :mod:`repro.compute` machinery with automatic
    algorithm choice;
@@ -25,12 +26,14 @@ The execution pipeline for one SELECT:
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Callable, Optional
 
 from repro.aggregates.registry import AggregateRegistry, default_registry
 from repro.compute.base import build_task
-from repro.compute.optimizer import choose_algorithm, make_algorithm
+from repro.compute.optimizer import choose_algorithm, explain_choice
+from repro.core.lattice import CubeLattice
 from repro.engine.catalog import Catalog
 from repro.engine.expressions import (
     ColumnRef,
@@ -112,7 +115,9 @@ class SQLSession:
     one strategy against another on the same query.  ``dense_budget``
     (cells) caps the Section 5 dense-array allocation the optimizer may
     commit to (array algorithm, columnar dense route); above it the
-    sparse strategies take over.
+    sparse strategies take over.  A pinned algorithm runs under the
+    session's budgets too, and EXPLAIN's estimates and algorithm row
+    cover the WHERE-filtered input under the same pin and budgets.
 
     ``statement_timeout`` (seconds) gives every statement a deadline: a
     statement still running when it expires raises
@@ -392,10 +397,6 @@ class SQLSession:
 
     def _explain_select(self, select: SelectStmt,
                         prefix: str) -> list[tuple[str, str]]:
-        import math
-
-        from repro.compute.optimizer import explain_choice
-
         steps: list[tuple[str, str]] = []
         if select.table is not None:
             steps.append((f"{prefix}scan", select.table.name))
@@ -408,33 +409,30 @@ class SQLSession:
             steps.append((f"{prefix}filter", repr(select.where)))
 
         if select.group is not None:
-            # estimate result size + algorithm on the real input when
-            # the table resolves
-            table, resolved = None, select
+            # when the table resolves, estimate result size + algorithm
+            # on the input the cube would see: joined, WHERE-filtered,
+            # with its table-function columns
             if select.table is not None and select.table.name in \
                     self.catalog:
-                table = self._run_from(select)
-                resolved = self._resolve_subqueries_in_select(select)
-            bound = bind(resolved, self.registry)
+                table, bound = self._bind_input(select)
+            else:
+                table, bound = None, bind(select, self.registry)
             spec = bound.spec()
             steps.append((f"{prefix}group", spec.describe()))
             steps.append((f"{prefix}grouping sets",
                           str(spec.set_count())))
             if table is not None:
-                table = self._materialize_table_functions(table, bound)
                 specs, _ = bound.measures()
                 task = build_task(table, bound.dims, specs,
                                   spec.grouping_sets())
                 cardinalities = task.cardinalities()
-                estimate = math.prod(c + 1 for c in cardinalities) \
-                    if cardinalities else 1
+                estimate = math.prod(c + 1 for c in cardinalities)
                 steps.append((
                     f"{prefix}cardinalities",
                     ", ".join(f"{name}={c}" for (_, name), c
                               in zip(bound.dims, cardinalities))))
                 steps.append((f"{prefix}estimated rows",
                               f"<= {estimate} (Π(Ci+1) law)"))
-                from repro.core.lattice import CubeLattice
                 lattice = CubeLattice(task.dims, task.masks)
                 expected = lattice.expected_cube_cells(
                     cardinalities, len(task.rows))
@@ -442,8 +440,7 @@ class SQLSession:
                               f"~ {expected} (sparse estimate, "
                               f"T={len(task.rows)})"))
                 steps.append((f"{prefix}algorithm",
-                              explain_choice(
-                                  task, dense_budget=self.dense_budget)))
+                              explain_choice(task, **self._planning())))
         if select.having is not None:
             steps.append((f"{prefix}having", repr(select.having)))
         if select.distinct:
@@ -471,33 +468,38 @@ class SQLSession:
     # -- select pipeline -----------------------------------------------------
 
     def _run_select(self, select: SelectStmt) -> Table:
+        table, bound = self._bind_input(select)
+        if bound.select.group is None and not bound.aggregates:
+            result = self._project_plain(table, bound.select.items)
+        else:
+            result = self._run_grouped(table, bound)
+
+        if bound.select.distinct:
+            result = distinct_op(result)
+        if self.null_mode is NullMode.NULL_WITH_GROUPING:
+            result = self._replace_all_with_null(result)
+        return result
+
+    def _bind_input(self, select: SelectStmt) -> tuple[Table, BoundSelect]:
+        """The front half execution and EXPLAIN share: FROM, the scalar
+        subqueries, WHERE, :func:`bind`, then the table-function columns
+        over the filtered input -- the relation the cube sees."""
         rctx.checkpoint("sql.from")
         table = self._run_from(select)
-
         resolved = self._resolve_subqueries_in_select(select)
-
         if resolved.where is not None:
             rctx.checkpoint("sql.where")
             if any(isinstance(node, AggregateCall)
                    for node in walk(resolved.where)):
                 raise SQLPlanError("aggregates are not allowed in WHERE")
             table = filter_rows(table, resolved.where)
-
         bound = bind(resolved, self.registry)
-        source = self._cache_source_signature(resolved, bound) \
-            if self.cache is not None else None
-        table = self._materialize_table_functions(table, bound)
+        return self._materialize_table_functions(table, bound), bound
 
-        if resolved.group is None and not bound.aggregates:
-            result = self._project_plain(table, bound.select.items)
-        else:
-            result = self._run_grouped(table, bound, source=source)
-
-        if resolved.distinct:
-            result = distinct_op(result)
-        if self.null_mode is NullMode.NULL_WITH_GROUPING:
-            result = self._replace_all_with_null(result)
-        return result
+    def _planning(self) -> dict[str, Any]:
+        """The optimizer inputs execution and EXPLAIN share."""
+        return {"algorithm": self.algorithm, "dense_budget": self.dense_budget,
+                "memory_budget": self.memory_budget}
 
     def _run_from(self, select: SelectStmt) -> Table:
         if select.table is None:
@@ -529,17 +531,19 @@ class SQLSession:
                 f"{len(result.schema)} columns; needs exactly 1 x 1")
         return result.rows[0][0]
 
-    def _cache_source_signature(self, select: SelectStmt,
+    def _cache_source_signature(self,
                                 bound: BoundSelect) -> Optional[tuple]:
-        """The semantic-cache source key for a subquery-resolved SELECT:
+        """The semantic-cache source key for a bound SELECT:
         the base/joined tables with their catalog versions, the WHERE
         predicate's structural repr, the join shape, and the *ordered*
         slot keys -- slots are named positionally (``__tf0_rank``), so
         two queries grouping different RANK() arguments would otherwise
         collide on one dimension repr.  ``None`` (no base table, or an
-        unknown one) disables caching for this query.
+        unknown one), or no cache, disables caching for this query.
         """
-        if select.table is None or select.table.name not in self.catalog:
+        select = bound.select
+        if self.cache is None or select.table is None \
+                or select.table.name not in self.catalog:
             return None
         tables = [(select.table.name.upper(),
                    self.catalog.version(select.table.name))]
@@ -637,19 +641,19 @@ class SQLSession:
 
     # -- grouped execution -------------------------------------------------
 
-    def _run_grouped(self, table: Table, bound: BoundSelect, *,
-                     source: Optional[tuple] = None) -> Table:
+    def _run_grouped(self, table: Table, bound: BoundSelect) -> Table:
         select = bound.select
         if any(isinstance(item.expression, Star) for item in select.items):
             raise SQLPlanError("SELECT * cannot be combined with "
                                "GROUP BY or aggregates")
         specs, agg_sigs = bound.measures()
         dims = bound.dims
+        dim_sigs = tuple(repr(expr) for expr, _ in dims)
 
         # the workload-history identity: the same order-insensitive
         # dim/agg signatures the semantic cache keys on
         querylog.annotate(signature=querylog.cuboid_signature(
-            tuple(repr(expr) for expr, _ in dims), agg_sigs))
+            dim_sigs, agg_sigs))
 
         if not dims:
             grouped = hash_group_by(table, [], specs).table
@@ -657,11 +661,12 @@ class SQLSession:
             rctx.checkpoint("sql.group")
             spec = bound.spec()
             grouped = None
-            if self.cache is not None and source is not None:
+            source = self._cache_source_signature(bound)
+            if source is not None:
                 grouped = self.cache.serve(
                     table=table, source=source,
                     dim_items=dims,
-                    dim_sigs=tuple(repr(expr) for expr, _ in dims),
+                    dim_sigs=dim_sigs,
                     dim_names=tuple(name for _, name in dims),
                     specs=specs,
                     agg_sigs=agg_sigs,
@@ -670,11 +675,7 @@ class SQLSession:
             if grouped is None:
                 task = build_task(table, dims, specs,
                                   spec.grouping_sets())
-                algorithm = (make_algorithm(self.algorithm)
-                             if self.algorithm
-                             else choose_algorithm(
-                                 task, memory_budget=self.memory_budget,
-                                 dense_budget=self.dense_budget))
+                algorithm = choose_algorithm(task, **self._planning())
                 grouped = algorithm.compute(task).table
 
         # rewrite select/having expressions against the grouped schema
@@ -684,8 +685,7 @@ class SQLSession:
         # cell-addressing function -- `SUM(Sales) AS total` makes
         # `total(ALL, ALL, ALL)` the global-cell value
         agg_names = {a.key: a.name for a in bound.aggregates}
-        alias_cells = self._alias_cell_lookup(select, agg_names, dims,
-                                              grouped)
+        alias_cells = self._alias_cell_lookup(bound, grouped)
 
         def rewrite(expr: Expression) -> Optional[Expression]:
             if isinstance(expr, AggregateCall):
@@ -706,16 +706,21 @@ class SQLSession:
             having = transform(select.having, rewrite)
             grouped = filter_rows(grouped, having)
 
+        # the Section 3.5 rule, item by item after the item's own
+        # rewrite errors: every output column is grouped or aggregated
+        # (decorations are provided by repro.core.decorations, not SQL)
         out_items = []
-        for item in select.items:
+        for item, ungrouped in zip(select.items, bound.ungrouped):
             rewritten = transform(item.expression, rewrite)
-            self._check_grouped_references(rewritten, dim_name_set,
-                                           set(agg_names.values()))
+            if ungrouped:
+                raise SQLPlanError(
+                    f"column {ungrouped[0]!r} is neither grouped nor "
+                    "aggregated; add it to GROUP BY or use repro.core "
+                    "decorations")
             out_items.append(SelectItem(rewritten, item.alias))
         return self._project_plain(grouped, out_items)
 
-    def _alias_cell_lookup(self, select: SelectStmt, agg_names: dict,
-                           dims: list, grouped: Table):
+    def _alias_cell_lookup(self, bound: BoundSelect, grouped: Table):
         """Build the Section 4 alias-addressing resolver.
 
         Returns a callable mapping a :class:`FunctionCall` whose name is
@@ -724,21 +729,16 @@ class SQLSession:
         exist.  ``total(ALL, ALL, ALL)`` is the paper's shorthand for
         the nested percent-of-total subquery.
         """
-        aliases: dict[str, str] = {}
-        for item in select.items:
-            if item.alias and isinstance(item.expression, AggregateCall):
-                aliases[item.alias.upper()] = agg_names[
-                    item.expression.key()]
-        if not aliases:
+        if not bound.alias_cells:
             return None
 
-        dim_names = [name for _, name in dims]
+        dim_names = [name for _, name in bound.dims]
         dim_idx = [grouped.schema.index_of(name) for name in dim_names]
         cells: dict[tuple, tuple] = {
             tuple(row[i] for i in dim_idx): row for row in grouped}
 
         def resolve(call: FunctionCall) -> Optional[Expression]:
-            column = aliases.get(call.name.upper())
+            column = bound.alias_cells.get(call.name.upper())
             if column is None:
                 return None
             if len(call.args) != len(dim_names):
@@ -759,18 +759,6 @@ class SQLSession:
             return Literal(row[grouped.schema.index_of(column)])
 
         return resolve
-
-    def _check_grouped_references(self, expr: Expression,
-                                  dims: set[str], aggs: set[str]) -> None:
-        """Enforce the SQL rule the paper's Section 3.5 discusses: every
-        output column must be grouped or aggregated (decorations are
-        provided by :mod:`repro.core.decorations`, not bare SQL)."""
-        allowed = dims | aggs
-        for name in expr.references():
-            if name not in allowed:
-                raise SQLPlanError(
-                    f"column {name!r} is neither grouped nor aggregated; "
-                    "add it to GROUP BY or use repro.core decorations")
 
     # -- output post-processing ------------------------------------------------
 

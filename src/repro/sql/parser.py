@@ -122,8 +122,8 @@ class Parser:
             self._fail("expected identifier")
         return self.advance().value
 
-    def _fail(self, message: str) -> None:
-        token = self.current
+    def _fail(self, message: str, token: Token | None = None) -> None:
+        token = token or self.current
         raise SQLSyntaxError(f"{message}, found {token.value or 'EOF'!r}",
                              line=token.line, column=token.column)
 
@@ -578,33 +578,40 @@ class Parser:
             self.expect_symbol(")")
             return AggregateCall(upper, "*", distinct=distinct)
 
+        # aggregates and table functions take literal extra arguments
+        literal_tail = distinct or upper in TABLE_FUNCTIONS \
+            or upper in self.registry
         args: list[Expression] = []
+        extra: list = []
         if not self.check_symbol(")"):
             args.append(self.parse_expr())
             while self.accept_symbol(","):
-                args.append(self.parse_expr())
+                if literal_tail:
+                    extra.append(self._literal_value(upper))
+                else:
+                    args.append(self.parse_expr())
         self.expect_symbol(")")
 
         if upper in TABLE_FUNCTIONS:
-            extra = tuple(self._literal_args(args[1:], upper))
             if not args:
                 self._fail(f"{name} needs an argument")
-            return TableFunctionCall(upper, args[0], extra_args=extra)
+            return TableFunctionCall(upper, args[0], extra_args=tuple(extra))
         if upper in self.registry or distinct:
             if not args:
                 self._fail(f"aggregate {name} needs an argument or *")
-            extra = tuple(self._literal_args(args[1:], upper))
             return AggregateCall(upper, args[0], distinct=distinct,
-                                 extra_args=extra)
+                                 extra_args=tuple(extra))
         return FunctionCall(name, args)
 
-    def _literal_args(self, args: list[Expression], name: str) -> list:
-        values = []
-        for arg in args:
-            if not isinstance(arg, Literal):
-                self._fail(f"{name} extra arguments must be literals")
-            values.append(arg.value)
-        return values
+    def _literal_value(self, name: str):
+        """A literal argument's value; a negated number counts."""
+        token = self.current
+        negate = self.accept_symbol("-")
+        arg = self.parse_unary()
+        if not isinstance(arg, Literal) or (
+                negate and type(arg.value) not in (int, float)):
+            self._fail(f"{name} extra arguments must be literals", token)
+        return -arg.value if negate else arg.value
 
 
 def _number(text: str) -> int | float:

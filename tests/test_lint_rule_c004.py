@@ -28,8 +28,8 @@ class TestC004Sql:
         assert "C004" not in codes(report)
 
     def test_grouping_expression_source_column_allowed(self):
-        # grouping by an expression of a column licenses bare references
-        # to that source column in the output
+        # a grouped column counts by its output name: GROUP BY Year
+        # licenses Year (GROUP BY Year + 1 AS y would license only y)
         catalog, _ = sales_catalog()
         report = lint_sql(
             "SELECT Year, COUNT(*) FROM Sales GROUP BY Year",

@@ -178,3 +178,34 @@ class TestGroupedErrorOrder:
             any_session.execute(
                 "SELECT Model, SUM(Units) AS total, total(Year) AS t "
                 "FROM Sales GROUP BY CUBE Model;")
+
+
+class TestNegativeLiteralArguments:
+    """``-1`` parses as ``0 - 1``; as an extra argument it is still a
+    literal, so the function's own range check answers."""
+
+    def test_negative_percentile_reaches_the_factory(self, session):
+        from repro.errors import AggregateError
+        with pytest.raises(AggregateError,
+                           match=r"p must be in \[0, 100\], got -1"):
+            session.execute("SELECT Model, APPROX_PERCENTILE(Units, -1) "
+                            "FROM Sales GROUP BY Model;")
+
+    def test_negative_tile_count_reaches_the_table_function(self, session):
+        from repro.errors import AggregateError
+        with pytest.raises(AggregateError,
+                           match="n_tile needs n >= 1, got -2"):
+            session.execute("SELECT Model, SUM(Units) FROM Sales "
+                            "GROUP BY N_TILE(Units, -2);")
+
+    def test_non_literal_argument_is_located_at_itself(self):
+        sql = "SELECT PERCENTILE(Units, Year) FROM Sales GROUP BY Model;"
+        with pytest.raises(SQLSyntaxError,
+                           match="must be literals, found 'Year'") as info:
+            parse(sql)
+        assert info.value.column == sql.index("Year") + 1
+
+    def test_arithmetic_on_a_negated_literal_is_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="found '\\+'"):
+            parse("SELECT PERCENTILE(Units, -1 + 2) FROM Sales "
+                  "GROUP BY Model;")
