@@ -380,3 +380,22 @@ class TestNegativeZeroSum:
                                  masks)
         assert got == _from_core(task)
         assert "('a', 'p', -0.0, 0.0)" in got
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestUfuncAtOrder:
+    """The kernels' scatter and lattice fold rely on ``ufunc.at``
+    applying a repeated index in index order, as Python's left fold
+    does: float addition is not associative, so any other order would
+    change a SUM's last digits."""
+
+    def test_add_at_folds_a_repeated_index_left_to_right(self):
+        import numpy as np
+        values = [1.0, 1e16, -1e16]
+        for ordered, expected in ((values, 0.0), (values[::-1], 1.0)):
+            acc = np.zeros(1)
+            np.add.at(acc, np.zeros(3, dtype=np.int64), np.array(ordered))
+            left_fold = 0.0
+            for value in ordered:
+                left_fold += value
+            assert acc[0] == left_fold == expected

@@ -7,6 +7,7 @@ span events."""
 import pytest
 
 from repro import Catalog, agg, cube
+from repro.compute.columnar import HAVE_NUMPY, ColumnarCubeAlgorithm
 from repro.core.cube import cube_with_stats
 from repro.errors import (
     QueryCancelledError,
@@ -21,6 +22,13 @@ from repro.sql.executor import SQLSession
 
 DIMS = ["Model", "Year", "Color"]
 AGGS = [agg("SUM", "Units", "Units")]
+
+#: the columnar sparse route on each kernel backend
+SPARSE_COLUMNAR = [
+    pytest.param(True, id="python"),
+    pytest.param(False, id="numpy", marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy not installed")),
+]
 
 
 def _counter_value(name, **labels):
@@ -88,6 +96,19 @@ class TestGracefulDegradation:
         assert result.stats.notes["degraded_from"] == algorithm
         assert result.stats.algorithm == "external"
 
+    @pytest.mark.parametrize("force_python", SPARSE_COLUMNAR)
+    def test_sparse_columnar_budget_breach_degrades_with_identical_results(
+            self, sales, force_python):
+        ctx = ExecutionContext(memory_budget=2)
+        algorithm = ColumnarCubeAlgorithm(mode="sparse",
+                                          force_python=force_python)
+        result = cube_with_stats(sales, DIMS, AGGS, algorithm=algorithm,
+                                 context=ctx, sort_result=True)
+        expected = cube(sales, DIMS, AGGS, sort_result=True)
+        assert result.table.rows == expected.rows
+        assert result.stats.notes["degraded_from"] == "columnar"
+        assert result.stats.algorithm == "external"
+
     def test_degradation_disabled_propagates_the_breach(self, sales):
         ctx = ExecutionContext(memory_budget=4, degrade=False)
         with pytest.raises(ResourceBudgetExceededError):
@@ -131,6 +152,17 @@ class TestGracefulDegradation:
         cube(sales, DIMS, AGGS, algorithm="2^N", context=ctx)
         assert ctx.resident_cells == 0
         assert ctx.peak_cells > 0
+
+    @pytest.mark.parametrize("force_python", SPARSE_COLUMNAR)
+    def test_accountant_is_balanced_after_a_sparse_columnar_run(
+            self, sales, force_python):
+        ctx = ExecutionContext(memory_budget=10_000)
+        cube(sales, DIMS, AGGS, context=ctx,
+             algorithm=ColumnarCubeAlgorithm(mode="sparse",
+                                             force_python=force_python))
+        assert ctx.resident_cells == 0
+        # the peak is the whole lattice: the Sales cube's 27 cells
+        assert ctx.peak_cells == 27
 
 
 class TestSQLSessionResilience:
