@@ -79,11 +79,20 @@ def kernel_positions(functions: Sequence[AggregateFunction],
              or (batch.aggs[p].numeric
                  and _ints_exact(batch.aggs[p], xp, float64_image)))
         # a float64 MIN/MAX can't tell which *type* won a cross-type
-        # tie, so mixed int/float columns stay on the exact row path
-        # (the pure-python kernels fold raw objects and are exact)
+        # tie, and np.minimum/np.maximum keep the later of 0.0 and -0.0,
+        # so such columns stay on the exact row path (the pure-python
+        # kernels fold raw objects with a strict comparison and are exact)
         and (xp is None or kernel_for(fn) not in ("min", "max")
-             or not batch.aggs[p].mixed_number_types)
+             or not (batch.aggs[p].mixed_number_types
+                     or _both_zeros(batch.aggs[p], xp)))
     ]
+
+
+def _both_zeros(column: AggColumn, xp) -> bool:
+    """Does the column hold both ``0.0`` and ``-0.0``?"""
+    data = column.data_np(xp)[column.valid_np(xp)]
+    negative = xp.signbit(data[data == 0])
+    return bool(negative.any()) and not bool(negative.all())
 
 
 def core_strides(batch: ColumnBatch, core_dims: Sequence[int]

@@ -399,3 +399,29 @@ class TestUfuncAtOrder:
             for value in ordered:
                 left_fold += value
             assert acc[0] == left_fold == expected
+
+
+class TestSignedZeroExtremes:
+    """``0.0`` and ``-0.0`` compare equal, so MIN/MAX keep whichever
+    zero reached the cell first (the row path's strict comparison).
+    ``np.minimum``/``np.maximum`` return the later one on a tie, so a
+    column holding both zeros stays off the numpy extreme kernels."""
+
+    def task(self):
+        rng = __import__("random").Random(5)
+        rows = [(rng.choice("abc"), rng.choice("pqrs"),
+                 rng.choice([0.0, -0.0, 1.5])) for _ in range(600)]
+        table = Table([("d", "STRING"), ("e", "STRING"), ("m", "FLOAT")],
+                      rows)
+        return build_task(table, ["d", "e"],
+                          [AggregateSpec(Min(), "m", "lo"),
+                           AggregateSpec(Max(), "m", "hi")], cube_sets(2))
+
+    # the pure-python dense route folds slabs in slot order, not
+    # from-core's parent order, so its ties are not compared here
+    @pytest.mark.parametrize("make", [
+        p for p in DENSE_ROUTES if p.id != "columnar-dense-python"])
+    def test_routes_keep_the_first_zero(self, make):
+        task = self.task()
+        got = _cube_reprs(make().compute(task).table)
+        assert got == _from_core(task)
