@@ -106,7 +106,8 @@ class LintContext:
     total_rows: Optional[int] = None
     #: columns named in GROUPING(col) calls (SQL only)
     grouping_calls: tuple[str, ...] = ()
-    #: output references that are neither grouped nor aggregated
+    #: columns a select item, HAVING or ORDER BY reads that are neither
+    #: grouped nor aggregated
     nongrouped_outputs: tuple[str, ...] = ()
     #: scalar function names that resolve nowhere (SQL only)
     unknown_functions: tuple[str, ...] = ()
@@ -247,7 +248,9 @@ def _context_from_select(select: SelectStmt,
                          null_mode: NullMode, blowup_threshold: int,
                          span: tuple[int, int] | None,
                          statement_index: int | None) -> LintContext:
-    bound = bind(select, registry)
+    whole_body = statement is not None and statement.body is select
+    bound = bind(select, registry,
+                 statement.order_by if whole_body else ())
     aggregates = [_sql_aggregate_info(a) for a in bound.aggregates]
     seen = {a.key for a in bound.aggregates}
 
@@ -297,7 +300,9 @@ def _context_from_select(select: SelectStmt,
         total_rows=len(table) if table is not None else None,
         grouping_calls=tuple(grouping_calls),
         nongrouped_outputs=tuple(dict.fromkeys(
-            name for names in bound.ungrouped for name in names)),
+            name for names in (*bound.ungrouped, bound.having_ungrouped,
+                               bound.order_ungrouped)
+            for name in names)),
         unknown_functions=tuple(unknown_functions),
         blowup_threshold=blowup_threshold,
         span=span,

@@ -179,13 +179,13 @@ def check_decoration_dependency(ctx: LintContext) -> Iterator[Diagnostic]:
     """Section 3.5 / Table 7: a decoration is only well-defined when the
     aggregate tuple functionally defines it.  Two checks: (a) declared
     decorations whose data violates determinants -> dependent; (b) SQL
-    output columns that are neither grouped nor aggregated (the
-    dependency cannot be assumed).
+    columns that a select item, HAVING or ORDER BY reads and that are
+    neither grouped nor aggregated (the dependency cannot be assumed).
     """
     for name in ctx.nongrouped_outputs:
         yield _make(
             ctx, RULES["C004"], Severity.ERROR,
-            f"output column {name!r} is neither grouped nor aggregated; "
+            f"column {name!r} is neither grouped nor aggregated; "
             "unless it is functionally dependent on a grouping column "
             "its value is undefined in super-aggregate rows",
             columns=(name,),

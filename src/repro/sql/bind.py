@@ -15,8 +15,9 @@ cache key and the linter all read its :class:`BoundSelect`:
   HAVING), each with its output name and its function from
   :func:`bind_aggregate`, the one SQL path to ``registry.create``;
 - per select item of a grouped SELECT, the **ungrouped** columns it
-  reads (Section 3.5), which the executor rejects and the linter
-  reports as C004.
+  reads (Section 3.5), and those HAVING and the statement's ORDER BY
+  read outside the dimension outputs, aggregate outputs and select
+  aliases, which the executor rejects and the linter reports as C004.
 
 Problems are recorded, not raised: the executor raises a recorded
 error at the pipeline step that needs the broken part, and the linter
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.distributive import CountStar
@@ -56,6 +57,7 @@ from repro.sql.ast_nodes import (
     AggregateCall,
     GroupClause,
     GroupingCall,
+    OrderItem,
     SelectItem,
     SelectStmt,
     Star,
@@ -285,6 +287,9 @@ class BoundSelect:
     alias_cells: dict[str, str]
     #: per select item, its ungrouped columns (empty when not grouped)
     ungrouped: tuple[tuple[str, ...], ...]
+    #: the ungrouped columns HAVING reads, then those ORDER BY reads
+    having_ungrouped: tuple[str, ...]
+    order_ungrouped: tuple[str, ...]
 
     def spec(self) -> GroupingSpec:
         """The grouping specification (raises
@@ -317,8 +322,11 @@ class BoundSelect:
         return transform(expr, _slot_mapper(self.slots))
 
 
-def bind(select: SelectStmt, registry: AggregateRegistry) -> BoundSelect:
-    """Resolve ``select``'s table functions, dimensions and aggregates."""
+def bind(select: SelectStmt, registry: AggregateRegistry,
+         order_by: Sequence[OrderItem] = ()) -> BoundSelect:
+    """Resolve ``select``'s table functions, dimensions and aggregates.
+    ``order_by`` is the statement's ORDER BY when ``select`` is its
+    whole body (a UNION's ORDER BY reads the union's columns)."""
     calls = _first_seen(select_roots(select, group=True), TableFunctionCall)
     slots = tuple(_bind_slot(position, call)
                   for position, call in enumerate(calls.values()))
@@ -347,14 +355,27 @@ def bind(select: SelectStmt, registry: AggregateRegistry) -> BoundSelect:
                    for item in select.items if item.alias
                    and isinstance(item.expression, AggregateCall)}
     ungrouped: tuple[tuple[str, ...], ...] = ()
+    having_ungrouped: tuple[str, ...] = ()
+    order_ungrouped: tuple[str, ...] = ()
     if select.group is not None or aggregates:
         # dimensions count by output name, aggregates by output column
         ungrouped = tuple(tuple(dict.fromkeys(_loose_columns(
             item.expression, taken, alias_cells))) for item in select.items)
+        # HAVING and ORDER BY may also name a select alias
+        outputs = taken | {item.alias for item in select.items
+                           if item.alias}
+        if select.having is not None:
+            having_ungrouped = tuple(dict.fromkeys(_loose_columns(
+                select.having, outputs, alias_cells)))
+        order_ungrouped = tuple(dict.fromkeys(
+            name for item in order_by for name in _loose_columns(
+                item.expression, outputs, alias_cells)))
     return BoundSelect(select=select, slots=slots, dims=dims, plain=plain,
                        rollup=rollup, cube=cube,
                        aggregates=tuple(aggregates),
-                       alias_cells=alias_cells, ungrouped=ungrouped)
+                       alias_cells=alias_cells, ungrouped=ungrouped,
+                       having_ungrouped=having_ungrouped,
+                       order_ungrouped=order_ungrouped)
 
 
 def _loose_columns(expr: Any, allowed: set[str],

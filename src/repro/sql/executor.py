@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.aggregates.registry import AggregateRegistry, default_registry
 from repro.compute.base import build_task
@@ -460,15 +460,16 @@ class SQLSession:
                 result = union_all(result, branch) if flag \
                     else union_distinct(result, branch)
         else:
-            result = self._run_select(body)
+            result = self._run_select(body, statement.order_by)
         if statement.order_by:
             result = self._order(result, statement.order_by)
         return result
 
     # -- select pipeline -----------------------------------------------------
 
-    def _run_select(self, select: SelectStmt) -> Table:
-        table, bound = self._bind_input(select)
+    def _run_select(self, select: SelectStmt,
+                    order_by: Sequence[OrderItem] = ()) -> Table:
+        table, bound = self._bind_input(select, order_by)
         if bound.select.group is None and not bound.aggregates:
             result = self._project_plain(table, bound.select.items)
         else:
@@ -480,10 +481,13 @@ class SQLSession:
             result = self._replace_all_with_null(result)
         return result
 
-    def _bind_input(self, select: SelectStmt) -> tuple[Table, BoundSelect]:
+    def _bind_input(self, select: SelectStmt,
+                    order_by: Sequence[OrderItem] = ()
+                    ) -> tuple[Table, BoundSelect]:
         """The front half execution and EXPLAIN share: FROM, the scalar
-        subqueries, WHERE, :func:`bind`, then the table-function columns
-        over the filtered input -- the relation the cube sees."""
+        subqueries, WHERE, :func:`bind` (with the statement's ORDER BY
+        when ``select`` is its whole body), then the table-function
+        columns over the filtered input -- the relation the cube sees."""
         rctx.checkpoint("sql.from")
         table = self._run_from(select)
         resolved = self._resolve_subqueries_in_select(select)
@@ -493,7 +497,7 @@ class SQLSession:
                    for node in walk(resolved.where)):
                 raise SQLPlanError("aggregates are not allowed in WHERE")
             table = filter_rows(table, resolved.where)
-        bound = bind(resolved, self.registry)
+        bound = bind(resolved, self.registry, order_by)
         return self._materialize_table_functions(table, bound), bound
 
     def _planning(self) -> dict[str, Any]:
@@ -702,22 +706,20 @@ class SQLSession:
                     return resolved
             return None
 
+        # the Section 3.5 rule, each clause after its own rewrite
+        # errors: every column read is grouped or aggregated
+        # (decorations are provided by repro.core.decorations, not SQL)
         if select.having is not None:
             having = transform(select.having, rewrite)
+            _reject_ungrouped(bound.having_ungrouped)
             grouped = filter_rows(grouped, having)
 
-        # the Section 3.5 rule, item by item after the item's own
-        # rewrite errors: every output column is grouped or aggregated
-        # (decorations are provided by repro.core.decorations, not SQL)
         out_items = []
         for item, ungrouped in zip(select.items, bound.ungrouped):
             rewritten = transform(item.expression, rewrite)
-            if ungrouped:
-                raise SQLPlanError(
-                    f"column {ungrouped[0]!r} is neither grouped nor "
-                    "aggregated; add it to GROUP BY or use repro.core "
-                    "decorations")
+            _reject_ungrouped(ungrouped)
             out_items.append(SelectItem(rewritten, item.alias))
+        _reject_ungrouped(bound.order_ungrouped)
         return self._project_plain(grouped, out_items)
 
     def _alias_cell_lookup(self, bound: BoundSelect, grouped: Table):
@@ -796,6 +798,13 @@ class SQLSession:
         out = table.empty_like()
         out.extend((row for _, row in decorated), validate=False)
         return out
+
+
+def _reject_ungrouped(names: Sequence[str]) -> None:
+    if names:
+        raise SQLPlanError(
+            f"column {names[0]!r} is neither grouped nor aggregated; add "
+            "it to GROUP BY or use repro.core decorations")
 
 
 def execute(sql: str, catalog: Catalog, *,

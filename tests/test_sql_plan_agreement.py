@@ -40,6 +40,12 @@ class TestLintAgreesWithExecution:
         "FROM Sales GROUP BY CUBE Model",
         "SELECT Model, GROUPING(Model), SUM(Units) FROM Sales "
         "GROUP BY CUBE Model",
+        # HAVING and ORDER BY read grouped or aggregated columns too
+        "SELECT Model, SUM(Units) FROM Sales GROUP BY Model "
+        "HAVING Color = 'black'",
+        "SELECT Model, SUM(Units) FROM Sales GROUP BY Model ORDER BY Color",
+        "SELECT Model, SUM(Units) AS total FROM Sales GROUP BY Model "
+        "HAVING SUM(Units) > 10 ORDER BY total DESC, Model",
     ]
 
     @pytest.mark.parametrize("sql", CORPUS, ids=range(len(CORPUS)))
@@ -55,6 +61,15 @@ class TestLintAgreesWithExecution:
             assert linted == [(found.group(1),)]
         else:
             assert linted == []
+
+    @pytest.mark.parametrize("clause", ["HAVING Color = 'black'",
+                                        "ORDER BY Color"])
+    def test_having_and_order_by_get_the_section_3_5_error(self, catalog,
+                                                           clause):
+        sql = f"SELECT Model, SUM(Units) FROM Sales GROUP BY Model {clause}"
+        with pytest.raises(SQLPlanError, match="column 'Color' is neither "
+                                               "grouped nor aggregated"):
+            SQLSession(catalog).execute(sql)
 
     def test_strict_session_stops_before_the_cube(self, catalog):
         from repro.errors import LintError
