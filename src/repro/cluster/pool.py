@@ -127,11 +127,10 @@ def run_partition_spec(spec: dict, *, force_python: bool,
         iter_calls += state.scatter(slots, slab.aggs[agg_index])
         states.append(state)
 
-    groups = []
-    for gid in range(n_groups):
-        rep = representatives[gid]
-        codes = tuple(int(slab.dims[d].codes[rep]) for d in core_dims)
-        groups.append((codes, [state.handle(gid) for state in states]))
+    decoded = [state.handles(slice(0, n_groups)) for state in states]
+    groups = [(tuple(int(slab.dims[d].codes[rep]) for d in core_dims),
+               [handles[gid] for handles in decoded])
+              for gid, rep in enumerate(representatives)]
     # each group's first row, as a task row index: the parent reads the
     # coordinate from it (hash-equal 1/1.0/True share a code)
     rows = [spec["start"] + rep for rep in representatives]

@@ -20,16 +20,24 @@ Execution plan:
    2^N super-aggregate fold projects one dimension at a time, smallest
    cardinality first, through the shared slab addressing
    (:func:`repro.core.addressing.iter_slab_offsets`).
-4. **Vector half, sparse route** (otherwise):
-   :func:`repro.compute.columnar.core.core_scratchpads` groups rows to
-   dense group ids over the lattice core's dimensions (first-seen
-   order, matching from-core's cell discovery order), scatter-aggregates
-   per group, and rebuilds each group's accumulator into ordinary
-   scratchpad handles -- the same function that builds a cached
-   cuboid's core.  The super-aggregate walk is then *literally*
-   :func:`repro.compute.from_core.fold_super_aggregates` -- which is
-   what makes sparse columnar results bit-identical to the from-core
-   row path by construction.
+4. **Vector half, sparse route** (otherwise): Section 5's "compute
+   the super-aggregates from the core" on kernel arrays.  A key pass
+   numbers the core's cells in first-seen row order
+   (:func:`repro.compute.columnar.core.first_seen_ids` over packed
+   dimension codes), then gives every other grouping set first-seen
+   cell ids over the cells of its smallest computed parent (exact
+   counts, "pick the * with the smallest Ci"), each cell inheriting
+   the first row of the first parent cell folded into it.  One state
+   per kernel is allocated over all lattice cells; the core is
+   scattered, and each node is one ``fold_at`` per kernel in
+   parent-cell order -- the order from-core's
+   :func:`~repro.compute.from_core.fold_super_aggregates` merges in,
+   so the sparse route returns from-core's rows list for list (by
+   test, in parent order; numpy VARIANCE/STDEV rounds differently).
+5. **Emit**: both routes build output rows column by column -- the
+   grouped values from each cell's first input row, the measures from
+   one bulk ``handles()`` decode per kernel and one ``fn.end`` per
+   handle.
 
 The kernels auto-select numpy when importable and fall back to pure
 python otherwise (``force_python=True`` pins the fallback, used by the
@@ -40,18 +48,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Any
+from itertools import repeat
+from typing import Any, Iterable, Iterator
 
 from repro.compute.base import CubeAlgorithm, CubeResult, CubeTask
 from repro.compute.columnar.batch import ColumnBatch, numpy_backend
 from repro.compute.columnar.core import (
-    core_scratchpads,
+    core_strides,
+    first_seen_ids,
     flat_offsets,
     kernel_positions,
 )
 from repro.compute.columnar.kernels import kernel_for, make_state
-from repro.compute.from_core import finalize_nodes, fold_super_aggregates
+from repro.compute.from_core import smallest_computed_parent
 from repro.compute.stats import ComputeStats
+from repro.engine.table import Table
 from repro.core.addressing import dense_shape, dense_strides, iter_slab_offsets
 from repro.core.lattice import CubeLattice
 from repro.obs import instrument, trace
@@ -136,24 +147,25 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
                                          stats.notes["route"],
                                          batch.n_rows)
         if use_dense:
-            finalized = self._dense(vector_task, batch, columns, xp, stats)
+            rows = self._dense(vector_task, batch, columns, xp, stats)
         else:
-            finalized = self._sparse(vector_task, batch, columns, xp, stats)
+            rows = self._sparse(vector_task, batch, columns, xp, stats)
 
         if residual_result is None:
-            stats.cells_produced = len(finalized)
-            return CubeResult(table=task.result_table(finalized),
-                              stats=stats)
+            stats.cells_produced = len(rows)
+            return CubeResult(table=Table(task.output_schema(), rows,
+                                          validate=False), stats=stats)
 
         residual_values = {}
         n_dims = task.n_dims
         for row in residual_result.table.rows:
             residual_values[row[:n_dims]] = row[n_dims:]
         cells = []
-        for coordinate, vector_vals in finalized:
+        for row in rows:
+            coordinate = row[:n_dims]
             values: list[Any] = [None] * task.n_aggs
             for j, p in enumerate(vector_positions):
-                values[p] = vector_vals[j]
+                values[p] = row[n_dims + j]
             for j, p in enumerate(residual_positions):
                 values[p] = residual_values[coordinate][j]
             cells.append((coordinate, tuple(values)))
@@ -217,11 +229,8 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
         # ``first`` is each slot's first input row (a min-scatter of the
         # row index, projected with min): a cell's grouped values are
-        # read from that row, which is what from-core reports.  The
-        # decode lists cannot be used: hash-equal values (1, 1.0, True)
-        # share one code, and the list only holds the column's first.
-        rows = task.rows
-        n_rows = len(rows)
+        # read from that row, which is what from-core reports
+        n_rows = len(task.rows)
         if xp is None:
             counts = [0] * dense_slots
             first = [n_rows] * dense_slots
@@ -274,37 +283,120 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         stats.observe_resident(dense_slots * (2 * task.n_aggs + 1))
 
         built = list(zip(task.functions, states))
-        finalized = []
+        out: list[tuple] = []
         for mask in task.masks:
             flats, firsts = _occupied(mask, counts, first, shape, xp)
-            grouped = [i for i in range(n) if mask & (1 << i)]
-            for flat, first_row in zip(flats, firsts):
-                coordinate: list = [ALL] * n
-                row = rows[first_row]
-                for i in grouped:
-                    coordinate[i] = row[i]
-                finalized.append((tuple(coordinate), tuple(
-                    fn.end(state.handle(flat)) for fn, state in built)))
-            stats.end_calls += len(flats) * len(built)
+            out.extend(_emit(task, mask, built, flats, firsts))
+            stats.end_calls += len(firsts) * len(built)
 
         rctx.release_cells(dense_slots)
-        return finalized
+        return out
 
     # -- sparse route ----------------------------------------------------------
 
     def _sparse(self, task: CubeTask, batch: ColumnBatch, columns: list,
                 xp, stats: ComputeStats) -> list[tuple]:
-        core_mask = CubeLattice(task.dims, task.masks).core
-        cells = core_scratchpads(task, batch, columns, core_mask, xp, stats)
-        nodes = {core_mask: dict(zip(cells.coordinates, cells.handles))}
-        fold_super_aggregates(task, nodes, stats)
-        return finalize_nodes(task, nodes, stats)
+        lattice = CubeLattice(task.dims, task.masks)
+        core_mask = lattice.core
+        core_dims = _grouped(core_mask, task.n_dims)
+        slots, core_rows = first_seen_ids(flat_offsets(
+            batch, core_dims, core_strides(batch, core_dims), xp), xp)
+
+        # key pass: every other node's cells as first-seen ids over the
+        # cells of its smallest computed parent (exact counts), keyed by
+        # the packed codes of the parent cells' first rows; a cell's
+        # first row is that of the first parent cell folded into it
+        first_rows = {core_mask: (core_rows if xp is None
+                                  else xp.asarray(core_rows, dtype=xp.int64))}
+        # one state per kernel over every lattice cell, node after node
+        offsets = {core_mask: 0}
+        n_cells = len(core_rows)
+        steps = []
+        for level_masks in lattice.by_level_descending():
+            for mask in level_masks:
+                if mask == core_mask:
+                    continue
+                parent = smallest_computed_parent(lattice, mask, first_rows)
+                parent_rows = first_rows[parent]
+                dims = _grouped(mask, task.n_dims)
+                ids, firsts = first_seen_ids(flat_offsets(
+                    batch, dims, core_strides(batch, dims), xp,
+                    rows=parent_rows), xp)
+                first_rows[mask] = (
+                    [parent_rows[i] for i in firsts] if xp is None
+                    else parent_rows[firsts])
+                offsets[mask] = n_cells
+                n_cells += len(firsts)
+                steps.append((mask, parent, ids))
+
+        rctx.charge_cells(n_cells, "columnar lattice cells")
+        stats.start_calls += n_cells * task.n_aggs
+
+        with trace.span("cube.node", dims=task.mask_label(core_mask),
+                        role="core", rows=len(task.rows)) as span:
+            states = []
+            for fn, column in zip(task.functions, columns):
+                state = make_state(kernel_for(fn), n_cells, xp)
+                stats.iter_calls += state.scatter(slots, column)
+                states.append(state)
+            span.set(cells=len(core_rows))
+
+        # Iter_super, node by node in parent-cell order
+        for mask, parent, ids in steps:
+            rctx.checkpoint("columnar lattice node")
+            parent_cells = len(first_rows[parent])
+            with trace.span("cube.node", dims=task.mask_label(mask),
+                            parent_node=task.mask_label(parent),
+                            parent_cells=parent_cells) as span:
+                offset = offsets[mask]
+                dst = ([i + offset for i in ids] if xp is None
+                       else ids + offset)
+                src = range(offsets[parent], offsets[parent] + parent_cells)
+                for state in states:
+                    state.fold_at(dst, src)
+                span.set(cells=len(first_rows[mask]))
+            stats.merge_calls += parent_cells * task.n_aggs
+        stats.observe_resident(n_cells)
+
+        built = list(zip(task.functions, states))
+        out: list[tuple] = []
+        for mask in task.masks:
+            node_rows = first_rows[mask]
+            if xp is not None:
+                node_rows = node_rows.tolist()
+            start = offsets[mask]
+            out.extend(_emit(task, mask, built,
+                             slice(start, start + len(node_rows)),
+                             node_rows))
+            stats.end_calls += len(node_rows) * len(built)
+        rctx.release_cells(n_cells)
+        return out
+
+
+def _grouped(mask: int, n_dims: int) -> list[int]:
+    return [i for i in range(n_dims) if mask & (1 << i)]
+
+
+def _emit(task: CubeTask, mask: int, built: list[tuple], slots,
+          first_rows: list[int]) -> Iterator[tuple]:
+    """The output rows of ``mask``'s cells at kernel ``slots``, built
+    column by column: each cell's grouped values come from its first
+    input row (hash-equal 1/1.0/True share a code, so the decode lists
+    cannot be used) and ALL elsewhere; its measures are Final() of its
+    handles -- one bulk decode per kernel, one ``fn.end`` per handle."""
+    rows = task.rows
+    columns: list[Iterable] = [
+        [rows[r][i] for r in first_rows] if mask & (1 << i)
+        else repeat(ALL, len(first_rows)) for i in range(task.n_dims)]
+    columns += [list(map(fn.end, state.handles(slots)))
+                for fn, state in built]
+    return zip(*columns)
 
 
 def _occupied(mask: int, counts, first, shape: tuple[int, ...], xp
-              ) -> tuple[list[int], list[int]]:
+              ) -> tuple[Any, list[int]]:
     """The flat offsets of ``mask``'s non-empty cells in ascending
-    order, with each cell's first input row.
+    order (an int64 array on numpy), with each cell's first input row.
 
     A mask's cells are the slots holding a real index on its grouped
     dimensions and the ALL index ``Ci`` on the rest.  numpy takes
@@ -326,7 +418,7 @@ def _occupied(mask: int, counts, first, shape: tuple[int, ...], xp
         for i in reversed(grouped):  # unravel the block's row-major index
             hits, index = xp.divmod(hits, shape[i] - 1)
             flats += index * strides[i]
-        return flats.tolist(), first[flats].tolist()
+        return flats, first[flats].tolist()
     flats = []
     index = [0] * len(grouped)
     while True:

@@ -2,16 +2,21 @@
 
 Section 5 computes a cube in two steps -- aggregate the core once, then
 "compute super-aggregates from the core" with ``Iter_super``.  This
-module is the first step for everything that keeps *live scratchpads*:
-the sparse route of :class:`~repro.compute.columnar.ColumnarCubeAlgorithm`
-(which then folds and finalizes) and
-:class:`~repro.compute.view_selection.PartialCube` (which keeps the
-handles resident as a cached cuboid and maintains them under deltas).
+module holds the pieces of that first step: :func:`kernel_positions`
+decides which aggregates the kernels may compute, :func:`flat_offsets`
+packs dimension codes into one int key per row, and
+:func:`first_seen_ids` numbers the distinct keys in first-seen order.
+The sparse route of
+:class:`~repro.compute.columnar.ColumnarCubeAlgorithm` uses them to
+group the core and then every lattice node on kernel arrays.
 
-:func:`kernel_positions` decides which aggregates the kernels may
-compute; :func:`core_scratchpads` groups the batch's rows to first-seen
-group ids over the core dimensions, scatter-aggregates the eligible
-columns, and rebuilds one ordinary ``Handle`` list per group.  The
+:func:`core_scratchpads` is the core for everything that keeps *live
+scratchpads* -- :class:`~repro.compute.view_selection.PartialCube`
+(which keeps the handles resident as a cached cuboid and maintains them
+under deltas): it groups the batch's rows to first-seen group ids over
+the core dimensions, scatter-aggregates the eligible columns, and
+rebuilds one ordinary ``Handle`` list per group with one bulk decode
+per kernel.  The
 returned :class:`CoreCells` can also report, per cell, the contributing
 row count and each aggregate's accepted-value count (what delta
 maintenance needs to know when a cell or a scratchpad empties) from one
@@ -108,19 +113,25 @@ def core_strides(batch: ColumnBatch, core_dims: Sequence[int]
     return strides
 
 
-def flat_offsets(batch: ColumnBatch, dims, strides, xp):
+def flat_offsets(batch: ColumnBatch, dims, strides, xp, rows=None):
     """Per-row flat offsets ``sum(code[d] * stride[d])`` over the
-    given dimensions; int list (python) or int64 ndarray (numpy).
-    ``strides`` may be a sequence or a {dim: stride} mapping."""
+    given dimensions, for every row or for ``rows`` (row indices, an
+    int64 ndarray on numpy) only; int list (python) or int64 ndarray
+    (numpy).  ``strides`` may be a sequence or a {dim: stride}
+    mapping."""
     dims = list(dims)
+    n_rows = batch.n_rows if rows is None else len(rows)
     if xp is not None:
-        flat = xp.zeros(batch.n_rows, dtype=xp.int64)
+        flat = xp.zeros(n_rows, dtype=xp.int64)
         for d in dims:
-            flat += batch.dims[d].codes_np(xp) * strides[d]
+            codes = batch.dims[d].codes_np(xp)
+            flat += (codes if rows is None else codes[rows]) * strides[d]
         return flat
-    flat = [0] * batch.n_rows
+    flat = [0] * n_rows
     for d in dims:
         codes = batch.dims[d].codes
+        if rows is not None:
+            codes = [codes[r] for r in rows]
         stride = strides[d]
         if stride == 1:
             for i, code in enumerate(codes):
@@ -252,9 +263,11 @@ def core_scratchpads(task: CubeTask, batch: ColumnBatch,
         rows = task.rows
         project = task.projector(core_mask)
         coordinates = [project(rows[i]) for i in representatives]
-        built = list(zip(task.functions, states))
-        handles = [[fn.start() if state is None else state.handle(gid)
-                    for fn, state in built]
+        per_position = [
+            [fn.start() for _ in range(n_groups)] if state is None
+            else state.handles(slice(0, n_groups))
+            for fn, state in zip(task.functions, states)]
+        handles = [[position[gid] for position in per_position]
                    for gid in range(n_groups)]
         span.set(cells=n_groups)
     return CoreCells(coordinates, handles, task.functions, columns, slots,

@@ -1,20 +1,23 @@
 """Fused grouped-aggregation kernels for the columnar backend.
 
 Each kernel owns the dense per-group accumulator state for one
-aggregate function and knows three operations:
+aggregate function and knows four operations:
 
 - ``scatter(slots, column)``: fold every input row's value into the
   accumulator of its group code -- the vectorized image of the paper's
   ``Iter()`` loop.  Returns the number of values folded, which the
   algorithm reports as ``iter_calls``;
-- ``fold(dst, src)`` / ``project_np(...)``: merge one slot (or one
-  dense slab) into another -- the image of ``Iter_super()``, used by
-  the dense path's axis projections;
-- ``handle(slot)``: rebuild the owning aggregate function's *scratchpad
-  handle* for one group.  The algorithm always finishes through
-  ``fn.end(handle)`` (and the sparse path merges handles through
-  ``fn.merge``), so kernels never re-implement Final() semantics --
-  they only accelerate Init/Iter.
+- ``fold_at(dst, src)``: merge each slot of ``src`` into the matching
+  slot of ``dst``, in order -- the image of ``Iter_super()`` for a
+  whole lattice node (one ``ufunc.at`` per array on numpy, one
+  ``fold(dst, src)`` per slot pair on pure python);
+- ``project_np(...)``: merge a dense slab into its ALL slab, the dense
+  path's axis projection on numpy (pure python folds slot by slot);
+- ``handles(slots)``: rebuild the owning aggregate function's
+  *scratchpad handles* for a run of groups, reading each buffer once
+  (``tolist()`` on numpy).  The algorithms always finish through
+  ``fn.end(handle)``, so kernels never re-implement Final() semantics
+  -- they only accelerate Init/Iter/Iter_super.
 
 Every kernel has a pure-python implementation over stdlib buffers and a
 numpy implementation over zero-copy views of the same buffers; ``xp``
@@ -29,24 +32,13 @@ path (see :mod:`repro.compute.columnar.algorithm`).
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.aggregates.base import AggregateFunction
 
 __all__ = ["KERNELS", "kernel_for", "kernel_needs_numeric", "make_state"]
 
 
-def _num(value: float, any_float: bool) -> Any:
-    """Decode one float64 accumulator to the value the row path would
-    hold.  ``any_float`` says whether any *float-typed* value reached
-    this group's accumulator: if so the row path's result is a float
-    (``sum([1, 2.0])`` is ``3.0``), so integral results keep their
-    ``.0``; if not, every input was an int and the row path held an
-    exact python int."""
-    value = float(value)
-    if not any_float and value.is_integer():
-        return int(value)
-    return value
+#: the ufunc that merges one slot into another, per ``np_arrays`` mode
+_UFUNCS = {"sum": "add", "min": "minimum", "max": "maximum"}
 
 
 class _KernelState:
@@ -73,11 +65,58 @@ class _KernelState:
         raise NotImplementedError
 
     def fold(self, dst: int, src: int) -> None:
-        """Pure-python slot merge (dense-path axis projection)."""
+        """Pure-python slot merge."""
+        raise NotImplementedError
+
+    def fold_at(self, dst, src: range) -> None:
+        """Merge slot ``src[k]`` into slot ``dst[k]`` for every ``k``, in
+        ``k`` order (``dst`` repeats; ``src`` is a run of slots disjoint
+        from every ``dst``).  numpy's ``ufunc.at`` applies a repeated
+        index in index order, as the pure-python loop does, so both
+        backends merge a cell's parents in the same order."""
+        if self.xp is None:
+            fold = self.fold
+            for target, source in zip(dst, src):
+                fold(target, source)
+            return
+        for array, mode in self.np_arrays:
+            getattr(self.xp, _UFUNCS[mode]).at(
+                array, dst, array[src.start:src.stop])
+
+    def handles(self, slots) -> list:
+        """One scratchpad handle per slot of ``slots`` (a ``slice`` or a
+        sequence of slots)."""
         raise NotImplementedError
 
     def handle(self, slot: int):
-        raise NotImplementedError
+        return self.handles([slot])[0]
+
+    def _take(self, buffer, slots) -> list:
+        """``buffer[slots]`` as a list of python scalars."""
+        if self.xp is not None:
+            return buffer[slots].tolist()
+        if isinstance(slots, slice):
+            return buffer[slots]
+        return [buffer[slot] for slot in slots]
+
+    def _scalars(self, buffer, slots) -> list:
+        """The row path's scalar per slot from a float64 accumulator
+        (numpy; needs ``cnt``/``fcnt``): ``None`` where no value was
+        folded (SQL's empty SUM/MIN/MAX).  ``fcnt`` counts the
+        *float-typed* values that reached each slot: with one the row
+        path holds a float (``sum([1, 2.0])`` is ``3.0``), so integral
+        results keep their ``.0``; with none every input was an int and
+        the row path held an exact int."""
+        xp = self.xp
+        values = buffer[slots]
+        counts = self.cnt[slots]
+        exact = ((self.fcnt[slots] == 0) & (counts > 0)
+                 & xp.isfinite(values) & (values == xp.trunc(values)))
+        ints = xp.where(exact, values, 0).astype(xp.int64)
+        return [None if count == 0 else whole if is_int else value
+                for value, whole, count, is_int in zip(
+                    values.tolist(), ints.tolist(), counts.tolist(),
+                    exact.tolist())]
 
     def project_np(self, shape, axis: int, core, target) -> None:
         for arr, mode in self.np_arrays:
@@ -117,8 +156,8 @@ class _CountStarState(_KernelState):
     def fold(self, dst: int, src: int) -> None:
         self.n[dst] += self.n[src]
 
-    def handle(self, slot: int) -> int:
-        return int(self.n[slot])
+    def handles(self, slots) -> list:
+        return self._take(self.n, slots)
 
 
 class _CountState(_CountStarState):
@@ -187,12 +226,10 @@ class _SumState(_KernelState):
         current = self.acc[dst]
         self.acc[dst] = value if current is None else current + value
 
-    def handle(self, slot: int):
+    def handles(self, slots) -> list:
         if self.xp is None:
-            return self.acc[slot]
-        if self.cnt[slot] == 0:
-            return None
-        return _num(self.acc[slot], bool(self.fcnt[slot]))
+            return self._take(self.acc, slots)
+        return self._scalars(self.acc, slots)
 
 
 class _ExtremeState(_KernelState):
@@ -258,12 +295,10 @@ class _ExtremeState(_KernelState):
         if incumbent is None or self._wins(value, incumbent):
             self.best[dst] = value
 
-    def handle(self, slot: int):
+    def handles(self, slots) -> list:
         if self.xp is None:
-            return self.best[slot]
-        if self.cnt[slot] == 0:
-            return None
-        return _num(self.val[slot], bool(self.fcnt[slot]))
+            return self._take(self.best, slots)
+        return self._scalars(self.val, slots)
 
 
 class _MinState(_ExtremeState):
@@ -318,23 +353,24 @@ class _AvgState(_KernelState):
         self.sums[dst] += self.sums[src]
         self.counts[dst] += self.counts[src]
 
-    def handle(self, slot: int) -> tuple:
+    def handles(self, slots) -> list:
         if self.xp is None:
-            return (self.sums[slot], self.counts[slot])
-        count = int(self.cnt[slot])
-        if count == 0:
-            return (0, 0)
-        return (_num(self.acc[slot], bool(self.fcnt[slot])), count)
+            return list(zip(self._take(self.sums, slots),
+                            self._take(self.counts, slots)))
+        return [(0, 0) if total is None else (total, count)
+                for total, count in zip(self._scalars(self.acc, slots),
+                                        self._take(self.cnt, slots))]
 
 
 class _VarState(_KernelState):
     """VARIANCE/STDEV.
 
-    The python backend runs Welford in row order, so its (count, mean,
-    M2) handles are bit-identical to the row path.  The numpy backend
-    accumulates (count, sum, sum of squares) and rebuilds the Welford
-    scratchpad -- algebraically identical, rounded differently, which is
-    why cross-path VARIANCE comparisons are approximate.
+    The python backend runs Welford in row order and merges with Chan's
+    update, so its (count, mean, M2) handles are bit-identical to the
+    row path.  The numpy backend accumulates and folds (count, sum, sum
+    of squares) and rebuilds the Welford scratchpad only at the end --
+    algebraically identical, rounded differently, which is why
+    cross-path VARIANCE comparisons are approximate.
     """
 
     def _init(self) -> None:
@@ -390,22 +426,26 @@ class _VarState(_KernelState):
         count = count_a + count_b
         delta = self.means[src] - self.means[dst]
         self.means[dst] += delta * count_b / count
-        self.m2s[dst] += (self.m2s[src]
-                          + delta * delta * count_a * count_b / count)
+        self.m2s[dst] = (self.m2s[dst] + self.m2s[src]
+                         + delta * delta * count_a * count_b / count)
         self.counts[dst] = count
 
-    def handle(self, slot: int) -> tuple:
+    def handles(self, slots) -> list:
         if self.xp is None:
-            return (self.counts[slot], self.means[slot], self.m2s[slot])
-        count = int(self.cnt[slot])
-        if count == 0:
-            return (0, 0.0, 0.0)
-        total = float(self.acc[slot])
-        mean = total / count
-        m2 = float(self.sumsq[slot]) - total * total / count
-        if m2 < 0:  # float cancellation guard
-            m2 = 0.0
-        return (count, mean, m2)
+            return list(zip(self._take(self.counts, slots),
+                            self._take(self.means, slots),
+                            self._take(self.m2s, slots)))
+        out = []
+        for count, total, sumsq in zip(self._take(self.cnt, slots),
+                                       self._take(self.acc, slots),
+                                       self._take(self.sumsq, slots)):
+            if count == 0:
+                out.append((0, 0.0, 0.0))
+                continue
+            m2 = sumsq - total * total / count
+            # float cancellation guard
+            out.append((count, total / count, 0.0 if m2 < 0 else m2))
+        return out
 
 
 KERNELS: dict[str, type[_KernelState]] = {

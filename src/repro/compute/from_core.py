@@ -15,10 +15,13 @@ carrying mode, at unbounded scratchpad cost -- which the benchmarks use
 to *show* why the paper declares holistic functions hopeless here).
 
 The super-aggregate walk (pass 2) is exposed as module-level functions
-(:func:`fold_super_aggregates`, :func:`finalize_nodes`) because it is
-shared: the columnar backend computes the core with vectorized kernels
-and then reuses exactly this fold, which is what makes its sparse-path
-results bit-identical to ``from-core`` by construction.
+(:func:`fold_super_aggregates`, :func:`finalize_nodes`) because the
+partition engine (:mod:`repro.compute.parallel`) runs it over its
+merged core.  The columnar sparse route walks the same lattice in the
+same order on kernel arrays (:func:`smallest_computed_parent` picks
+each node's parent there too), and its rows are identical to
+``from-core``'s by test, in parent order
+(``tests/test_columnar_sparse_referee.py``).
 """
 
 from __future__ import annotations
@@ -35,14 +38,15 @@ from repro.obs import trace
 from repro.resilience import context as rctx
 
 __all__ = ["FromCoreAlgorithm", "finalize_nodes", "fold_core",
-           "fold_super_aggregates"]
+           "fold_super_aggregates", "smallest_computed_parent"]
 
 #: One cell store per grouping set: coordinate -> live scratchpads.
 Nodes = "dict[Mask, dict[tuple, list[Handle]]]"
 
 
-def _smallest_computed_parent(lattice: CubeLattice, mask: Mask,
-                              nodes: dict, parent_choice: str) -> Mask:
+def smallest_computed_parent(lattice: CubeLattice, mask: Mask,
+                             nodes: dict,
+                             parent_choice: str = "smallest") -> Mask:
     """The already-computed parent with the fewest actual cells.
 
     Uses measured parent sizes rather than estimates: by the time a
@@ -99,8 +103,8 @@ def fold_super_aggregates(task: CubeTask, nodes: dict,
             if mask == core_mask:
                 continue
             rctx.checkpoint("from-core lattice node")
-            parent = _smallest_computed_parent(lattice, mask, nodes,
-                                               parent_choice)
+            parent = smallest_computed_parent(lattice, mask, nodes,
+                                              parent_choice)
             with trace.span("cube.node", dims=task.mask_label(mask),
                             parent_node=task.mask_label(parent),
                             parent_cells=len(nodes[parent])) as span:
