@@ -62,9 +62,9 @@ from repro.compute.columnar.core import (
 from repro.compute.columnar.kernels import kernel_for, make_state
 from repro.compute.from_core import smallest_computed_parent
 from repro.compute.stats import ComputeStats
-from repro.engine.table import Table
 from repro.core.addressing import dense_shape, dense_strides, iter_slab_offsets
 from repro.core.lattice import CubeLattice
+from repro.engine.table import Table
 from repro.obs import instrument, trace
 from repro.resilience import context as rctx
 from repro.types import ALL

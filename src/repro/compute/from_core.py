@@ -47,7 +47,9 @@ Nodes = "dict[Mask, dict[tuple, list[Handle]]]"
 def smallest_computed_parent(lattice: CubeLattice, mask: Mask,
                              nodes: dict,
                              parent_choice: str = "smallest") -> Mask:
-    """The already-computed parent with the fewest actual cells.
+    """The already-computed parent with the fewest actual cells
+    (``nodes`` maps each computed grouping set to a sized collection of
+    its cells).
 
     Uses measured parent sizes rather than estimates: by the time a
     node is processed, every parent one level up is computed, so the

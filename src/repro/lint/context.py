@@ -248,9 +248,10 @@ def _context_from_select(select: SelectStmt,
                          null_mode: NullMode, blowup_threshold: int,
                          span: tuple[int, int] | None,
                          statement_index: int | None) -> LintContext:
-    whole_body = statement is not None and statement.body is select
-    bound = bind(select, registry,
-                 statement.order_by if whole_body else ())
+    order_by = (statement.order_by
+                if statement is not None and statement.body is select
+                else ())
+    bound = bind(select, registry, order_by)
     aggregates = [_sql_aggregate_info(a) for a in bound.aggregates]
     seen = {a.key for a in bound.aggregates}
 
