@@ -90,3 +90,19 @@ def tiny() -> Table:
         ("q", None, 7),
     ])
     return table
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Run the test as if numpy were not installed: the columnar batch
+    module's ``_numpy`` is ``None``.  Cluster worker processes fork that
+    module state, so the shared pools are restarted on entry (their
+    workers see the hidden numpy too) and on exit (later tests get
+    workers with numpy again)."""
+    from repro.cluster import shutdown_pools
+    from repro.compute.columnar import batch as columnar_batch
+    shutdown_pools()
+    monkeypatch.setattr(columnar_batch, "_numpy", None)
+    yield
+    monkeypatch.undo()
+    shutdown_pools()

@@ -136,3 +136,57 @@ def test_cube_counters_pinned(force_python, expected):
     _, stats = _run(ColumnarCubeAlgorithm(mode="sparse",
                                           force_python=force_python), task)
     assert {name: getattr(stats, name) for name in COUNTERS} == expected
+
+
+def _through_the_cache(task, specs):
+    """Every grouping set of ``task`` answered by a PartialCube (the
+    cache's miss path), as sorted ``repr``s."""
+    from repro.compute.view_selection import PartialCube
+    masks = list(task.masks)
+    table = Table([("d0", "ANY"), ("d1", "ANY"), ("d2", "STRING"),
+                   ("price", "FLOAT"), ("rand", "FLOAT"), ("wild", "ANY")],
+                  _rows())
+    cube = PartialCube(table, list(task.dims), specs, materialize=masks,
+                       universe=masks)
+    return sorted(repr(row) for mask in masks
+                  for row in cube.answer(mask).rows)
+
+
+def _thread_runner():
+    from repro.compute.parallel import ParallelCubeAlgorithm
+    return ParallelCubeAlgorithm(2, use_threads=True)
+
+
+#: the kernel consumers without numpy, each with the row path it must
+#: equal list for list: from-core, or for the cluster its thread runner
+#: (partition-then-combine merges float partial sums per partition, so
+#: the process and thread runners agree with each other, not with
+#: from-core)
+WITHOUT_NUMPY = [
+    pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse"),
+                 FromCoreAlgorithm, id="columnar-sparse"),
+    pytest.param(lambda: __import__(
+        "repro.cluster", fromlist=["x"]).ClusterCubeAlgorithm(n_workers=2),
+                 _thread_runner, id="cluster"),
+]
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+class TestWithoutNumpy:
+    """Without numpy every kernel consumer returns its row path's
+    answer."""
+
+    @pytest.mark.parametrize("make,reference", WITHOUT_NUMPY)
+    def test_rows_identical_in_order_and_repr(self, lattice, make,
+                                              reference, no_numpy):
+        task = _task(LATTICES[lattice], with_variance=True)
+        got, _ = _run(make(), task)
+        expected, _ = _run(reference(), task)
+        assert got == expected
+
+    def test_partial_cube_answers_every_grouping_set(self, lattice,
+                                                     no_numpy):
+        task = _task(LATTICES[lattice], with_variance=True)
+        expected, _ = _run(FromCoreAlgorithm(), task)
+        assert (_through_the_cache(task, _specs(with_variance=True))
+                == sorted(expected))

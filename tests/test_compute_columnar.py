@@ -1,6 +1,5 @@
 """The columnar backend in isolation: batch encoding, kernel parity
-between the numpy and pure-python implementations, route selection,
-and optimizer integration.
+with the row path, route selection, and optimizer integration.
 
 Cross-algorithm agreement lives in test_compute_equivalence.py; these
 tests pin the pieces the equivalence suite cannot see (handle formats,
@@ -132,39 +131,45 @@ class TestKernelRegistry:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestKernelParity:
-    """Both backends must finish to the same values through fn.end."""
+    """Each numpy kernel must finish, through fn.end, to the row path's
+    values: ``fn.start`` per slot, then ``fn.next`` per accepted value
+    in row order."""
 
     VALUES = [3, None, 1.5, NAN, -2, 7.25, None, 0, NAN, 4]
     SLOTS = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
     SIZE = 3
 
-    def _handles(self, kernel_name, xp):
+    def _handles(self, kernel_name):
         import numpy as np
         batch = ColumnBatch.from_columns({}, {"x": list(self.VALUES)})
         column = batch.aggs[0]
-        slots = (np.asarray(self.SLOTS, dtype=np.int64)
-                 if xp is not None else self.SLOTS)
-        state = make_state(kernel_name, self.SIZE, xp)
+        slots = np.asarray(self.SLOTS, dtype=np.int64)
+        state = make_state(kernel_name, self.SIZE, np)
         state.scatter(slots, column)
         return [state.handle(i) for i in range(self.SIZE)]
+
+    def _row_path(self, fn):
+        handles = [fn.start() for _ in range(self.SIZE)]
+        for value, slot in zip(self.VALUES, self.SLOTS):
+            if fn.accepts(value):
+                handles[slot] = fn.next(handles[slot], value)
+        return handles
 
     @pytest.mark.parametrize("kernel_name,fn", [
         ("count_star", CountStar()), ("count", Count()), ("sum", Sum()),
         ("min", Min()), ("max", Max()), ("avg", Average())])
     def test_backends_agree_exactly(self, kernel_name, fn):
-        import numpy as np
-        py = self._handles(kernel_name, None)
-        vec = self._handles(kernel_name, np)
+        rows = self._row_path(fn)
+        vec = self._handles(kernel_name)
         # repr comparison: bit-exact for floats and NaN-safe
-        assert [repr(fn.end(h)) for h in py] == \
+        assert [repr(fn.end(h)) for h in rows] == \
             [repr(fn.end(h)) for h in vec]
 
     def test_var_backends_agree_approximately(self):
-        import numpy as np
         fn = Variance()
-        py = self._handles("var", None)
-        vec = self._handles("var", np)
-        for a, b in zip(py, vec):
+        rows = self._row_path(fn)
+        vec = self._handles("var")
+        for a, b in zip(rows, vec):
             assert fn.end(a) == pytest.approx(fn.end(b), nan_ok=True)
 
     def test_integral_floats_keep_float_type(self):
@@ -184,11 +189,9 @@ class TestKernelParity:
                 assert type(value) is float, (kernel_name, value)
 
     def test_min_skips_nan_on_both_backends(self):
-        import numpy as np
-        for xp in (None, np):
-            handles = self._handles("min", xp)
-            assert not any(isinstance(h, float) and math.isnan(h)
-                           for h in handles if h is not None)
+        handles = self._handles("min")
+        assert not any(isinstance(h, float) and math.isnan(h)
+                       for h in handles if h is not None)
 
 
 class TestColumnarAlgorithm:
