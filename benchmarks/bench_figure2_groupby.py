@@ -85,7 +85,9 @@ def test_figure2_columnar_vs_row_path(benchmark):
     task = _aggregation_task(largest)
     result = benchmark(columnar.compute, task)
     benchmark.extra_info["counters"] = result.stats.as_dict()
-    benchmark.extra_info["backend"] = result.stats.notes["backend"]
+    # without numpy the columnar cube is the row path's ("fallback")
+    benchmark.extra_info["route"] = result.stats.notes.get(
+        "route", result.stats.notes.get("fallback"))
     benchmark.extra_info["speedup_vs_row_path"] = {
         str(n): round(s, 2) for n, s in speedups.items()}
     show("Columnar vs row-path cube (bit-identical)",

@@ -436,9 +436,10 @@ def s005_numpy_guard(project: AnalysisProject) -> Iterator[Finding]:
                     message=("unguarded top-level numpy import; the "
                              "no-numpy CI leg cannot import this "
                              "module"),
-                    why=("the stdlib-only kernels are a supported "
-                         "deployment; one unguarded import breaks "
-                         "every consumer of the module"),
+                    why=("a numpy-free interpreter is a supported "
+                         "deployment (every cube takes the row path); "
+                         "one unguarded import breaks every consumer "
+                         "of the module"),
                     suggestion=("wrap in try/except ImportError inside "
                                 "the columnar backend, or import "
                                 "lazily"),
@@ -456,8 +457,8 @@ def s005_numpy_guard(project: AnalysisProject) -> Iterator[Finding]:
                             message=("numpy import in a try block that "
                                      "does not catch ImportError"),
                             why="the no-numpy CI leg still crashes here",
-                            suggestion="except ImportError and fall "
-                                       "back",
+                            suggestion="except ImportError and leave "
+                                       "the row path to run",
                             path=file.rel, line=stmt.lineno)
                     elif not allowed:
                         yield Finding(
@@ -467,8 +468,8 @@ def s005_numpy_guard(project: AnalysisProject) -> Iterator[Finding]:
                                      "columnar backend "
                                      f"({', '.join(_NUMPY_ALLOWED)})"),
                             why=("keeping the optional dependency in "
-                                 "one seam is what makes the pure-"
-                                 "python fallback auditable"),
+                                 "one seam is what makes the no-numpy "
+                                 "row-path fallback auditable"),
                             suggestion=("route array access through "
                                         "repro.compute.columnar.batch."
                                         "numpy_backend()"),

@@ -19,10 +19,10 @@ cores:
    ``1.0``, ``True``).
 
 **Eligibility.**  Every aggregate must be mergeable, and every position
-one :func:`~repro.compute.columnar.core.kernel_positions` accepts for a
-float64 image: the slab carries only that image, so a column's int sums
-must stay within ``2**53`` on both kernel backends.  Anything else --
-holistic residuals, UDAFs, mixed-type MIN/MAX under numpy, huge ints --
+one :func:`~repro.compute.columnar.core.kernel_positions` accepts: the
+slab carries only the float64 image, and the kernels' own rule keeps a
+column's int sums within ``2**53``.  Anything else -- holistic
+residuals, UDAFs, mixed-type MIN/MAX, huge ints, or no numpy at all --
 runs on the thread runner, keeping the ``cluster`` label.  Both runners
 share the engine, so the fallback returns the slab path's bits.
 
@@ -60,18 +60,14 @@ __all__ = ["ClusterCubeAlgorithm"]
 class ClusterCubeAlgorithm(PartitionedCube):
     """Multi-process columnar runner (§5 scatter/gather over slabs).
 
-    - ``n_workers``: worker processes (default ``REPRO_WORKERS`` or 2);
-    - ``force_python``: pin the pure-python kernels in the workers
-      (the no-numpy CI leg and the parity tests).
+    - ``n_workers``: worker processes (default ``REPRO_WORKERS`` or 2).
     """
 
     name = "cluster"
 
-    def __init__(self, n_workers: int | None = None, *,
-                 force_python: bool = False) -> None:
+    def __init__(self, n_workers: int | None = None) -> None:
         super().__init__(default_workers() if n_workers is None
                          else n_workers)
-        self.force_python = force_python
 
     def _recover_span(self, failures: int) -> Any:
         return trace.span("cube.cluster.recover", failures=failures)
@@ -81,17 +77,14 @@ class ClusterCubeAlgorithm(PartitionedCube):
 
     def _compute(self, task: CubeTask) -> CubeResult:
         self._require_mergeable(task)
-        xp = numpy_backend(self.force_python)
-        backend = "numpy" if xp is not None else "python"
-        with trace.span("cube.batch", rows=len(task.rows), backend=backend):
+        with trace.span("cube.batch", rows=len(task.rows)):
             batch = ColumnBatch.from_task(task)
-        positions = kernel_positions(task.functions, batch, xp,
-                                     float64_image=True)
+        positions = kernel_positions(task.functions, batch, numpy_backend())
         if len(positions) < task.n_aggs:
             return self._fallback(task)
         kernels = [(kernel_for(task.functions[p]), p) for p in positions]
         return self._partition_then_combine(
-            task, partial(self._scatter, batch, kernels, backend))
+            task, partial(self._scatter, batch, kernels))
 
     def _fallback(self, task: CubeTask) -> CubeResult:
         """Not slab-shippable: run on the thread runner, keeping the
@@ -104,15 +97,14 @@ class ClusterCubeAlgorithm(PartitionedCube):
         result.stats.notes["fallback"] = inner.name
         return result
 
-    def _scatter(self, batch: ColumnBatch, kernels: list, backend: str,
-                 task: CubeTask, core_mask: Mask, bounds: list[int],
+    def _scatter(self, batch: ColumnBatch, kernels: list, task: CubeTask,
+                 core_mask: Mask, bounds: list[int],
                  stats: ComputeStats) -> list[PartitionCore]:
         """The runner: one spec per partition, run by the pool."""
         core_dims = [i for i in range(task.n_dims) if core_mask & (1 << i)]
         strides = core_strides(batch, core_dims)
         ctx = rctx.current_context()
         workers = len(bounds) - 1
-        stats.notes["backend"] = backend
         stats.notes["workers"] = workers
 
         chaos = None
@@ -128,8 +120,7 @@ class ClusterCubeAlgorithm(PartitionedCube):
                         workers=workers) as span:
             shm = MANAGER.create_for(batch)
             span.set(slab_bytes=slab_size(batch))
-        instrument.record_cluster_compute(backend, batch.n_rows,
-                                          slab_size(batch))
+        instrument.record_cluster_compute(batch.n_rows, slab_size(batch))
 
         specs = [{"slab": shm.name, "core_dims": core_dims,
                   "core_strides": [strides[d] for d in core_dims],
@@ -143,11 +134,10 @@ class ClusterCubeAlgorithm(PartitionedCube):
         def rebuild(index: int) -> PartitionCore:
             # the identical partition function, in-parent, chaos-exempt
             clean = dict(specs[index], chaos=None)
-            return _payload_core(task, project, run_partition_spec(
-                clean, force_python=self.force_python))
+            return _payload_core(task, project, run_partition_spec(clean))
 
         try:
-            pool = get_pool(workers, force_python=self.force_python)
+            pool = get_pool(workers)
             with trace.span("cube.cluster.gather",
                             workers=workers) as gather_span:
                 outcomes = pool.run(specs, ctx=ctx, parent=gather_span)

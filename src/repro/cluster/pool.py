@@ -86,8 +86,7 @@ def default_workers() -> int:
 # -- worker side --------------------------------------------------------------
 
 
-def run_partition_spec(spec: dict, *, force_python: bool,
-                       cancel_event=None) -> dict:
+def run_partition_spec(spec: dict, *, cancel_event=None) -> dict:
     """Compute one partition's core-GROUP-BY from a slab row slice.
 
     This is the §5 per-partition aggregation: group the slice's rows by
@@ -111,7 +110,7 @@ def run_partition_spec(spec: dict, *, force_python: bool,
 
     check("cluster partition attach")
     slab = attach_slab(spec["slab"], spec["start"], spec["end"])
-    xp = numpy_backend(force_python)
+    xp = numpy_backend()
 
     core_dims = spec["core_dims"]
     strides = dict(zip(core_dims, spec["core_strides"]))
@@ -159,7 +158,7 @@ def _maybe_chaos_crash(spec: dict) -> None:
 
 
 def _worker_main(worker_id: int, conn, cancel_event,
-                 force_python: bool, own_tracker: bool) -> None:
+                 own_tracker: bool) -> None:
     """Worker loop: recv spec, compute, send ``(job, status, payload)``.
 
     Exits on ``None`` (orderly shutdown) or a closed pipe (parent
@@ -181,8 +180,7 @@ def _worker_main(worker_id: int, conn, cancel_event,
         job = spec["job"]
         try:
             _maybe_chaos_crash(spec)
-            payload = run_partition_spec(spec, force_python=force_python,
-                                         cancel_event=cancel_event)
+            payload = run_partition_spec(spec, cancel_event=cancel_event)
             reply = (job, "ok", payload)
         except BaseException as error:
             reply = (job, "error", (type(error).__name__, str(error)))
@@ -213,11 +211,10 @@ class ClusterPool:
     process-fanout bound.
     """
 
-    def __init__(self, n_workers: int, *, force_python: bool = False) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise ClusterError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.force_python = force_python
         methods = multiprocessing.get_all_start_methods()
         self._mp = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -232,8 +229,7 @@ class ClusterPool:
         own_tracker = self._mp.get_start_method() != "fork"
         process = self._mp.Process(
             target=_worker_main,
-            args=(index, child_conn, self._cancel_event, self.force_python,
-                  own_tracker),
+            args=(index, child_conn, self._cancel_event, own_tracker),
             name=f"repro-cluster-{index}", daemon=True)
         process.start()
         child_conn.close()
@@ -406,20 +402,18 @@ class ClusterPool:
                     pass
 
 
-_POOLS: dict[tuple[int, bool], ClusterPool] = {}
+_POOLS: dict[int, ClusterPool] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def get_pool(n_workers: int, *, force_python: bool = False) -> ClusterPool:
-    """The shared pool for ``(n_workers, force_python)``, created on
-    first use and kept warm across computes (process startup would
-    otherwise dominate every query)."""
-    key = (n_workers, force_python)
+def get_pool(n_workers: int) -> ClusterPool:
+    """The shared pool of ``n_workers`` workers, created on first use
+    and kept warm across computes (process startup would otherwise
+    dominate every query)."""
     with _POOLS_LOCK:
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(n_workers)
         if pool is None or pool._closed:
-            pool = _POOLS[key] = ClusterPool(n_workers,
-                                             force_python=force_python)
+            pool = _POOLS[n_workers] = ClusterPool(n_workers)
         return pool
 
 

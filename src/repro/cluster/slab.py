@@ -30,8 +30,7 @@ trackers from unlinking a segment the parent still owns.
 and from an ``atexit`` hook -- so even a parent dying mid-query leaves
 no ``/dev/shm`` debris (asserted by the graceful-shutdown tests).
 
-For aggregate columns the float64 image is the only copy shipped, so
-the python-kernel fallback rebuilds ``raw`` from ``data``/``floats``:
+For aggregate columns the float64 image is the only copy shipped:
 exact for every int with ``|v| <= 2**53`` (the eligibility check in
 :mod:`repro.cluster.algorithm` falls back to the thread pool beyond
 that).
@@ -94,13 +93,11 @@ class SlabAgg:
 
     Mirrors :class:`~repro.compute.columnar.batch.AggColumn`'s kernel
     surface (``valid``/``nan``/``floats``/``data`` plus the ``*_np``
-    views).  ``raw`` is rebuilt lazily -- only the pure-python kernels
-    read it -- from the float64 image and the type masks, which is
-    exact for the columns the eligibility check lets through.
+    views).
     """
 
     __slots__ = ("name", "numeric", "n_valid", "n_float",
-                 "valid", "nan", "floats", "data", "_raw")
+                 "valid", "nan", "floats", "data")
 
     def __init__(self, name: str, numeric: bool, n_valid: int, n_float: int,
                  valid: bytearray, nan: bytearray, floats: bytearray,
@@ -113,22 +110,6 @@ class SlabAgg:
         self.nan = nan
         self.floats = floats
         self.data = data
-        self._raw: list | None = None
-
-    @property
-    def raw(self) -> list:
-        if self._raw is None:
-            n = len(self.valid)
-            raw: list = [None] * n
-            if self.data is not None:
-                data = self.data
-                floats = self.floats
-                valid = self.valid
-                for i in range(n):
-                    if valid[i]:
-                        raw[i] = data[i] if floats[i] else int(data[i])
-            self._raw = raw
-        return self._raw
 
     def valid_np(self, xp):
         return xp.frombuffer(self.valid, dtype=xp.uint8).astype(bool)

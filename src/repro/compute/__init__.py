@@ -29,8 +29,8 @@ can be verified exactly:
   (the thread runner of the engine the cluster backend shares).
 - :class:`ColumnarCubeAlgorithm` -- vectorized columnar backend: typed
   column batches, dictionary-encoded dimensions, fused grouped kernels
-  (numpy when available, pure python otherwise); holistic functions
-  and UDAFs transparently stay on the row path.
+  (numpy; without it the whole cube runs on the row path); holistic
+  functions and UDAFs transparently stay on the row path.
 """
 
 from repro.compute.stats import ComputeStats

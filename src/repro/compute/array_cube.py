@@ -14,8 +14,8 @@ string to an integer so the values become dense"), slot Ci is the ALL
 slot, the kernels fill the core in one pass, and dimensions are
 projected one at a time, smallest Ci first (the paper's efficiency
 rule), so every super-aggregate level reuses the previous level's ALL
-slabs.  It runs on whichever kernel backend is installed, numpy or pure
-python, with the kernels' exactness rules on both.
+slabs.  The kernels run on numpy; without it the route's row-path
+fallback (from-core) answers, as it does for every columnar cube.
 
 This class is that route's pinned entry point with the paper's limits:
 the distributive SQL aggregates (COUNT/COUNT(*)/SUM/MIN/MAX) over

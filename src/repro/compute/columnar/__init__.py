@@ -3,8 +3,9 @@
 Batches rows into typed column arrays, dictionary-encodes dimensions,
 and scatter-aggregates through fused grouped kernels; super-aggregates
 fold either through the Section 5 dense-array projections or through
-the shared from-core lattice walk.  Pure-python buffers throughout,
-with an optional numpy fast path auto-detected at import.
+the lattice fold on kernel arrays.  The batch buffers are stdlib
+arrays; the kernels run on numpy, and without it every cube takes the
+row path.
 """
 
 from repro.compute.columnar.algorithm import (

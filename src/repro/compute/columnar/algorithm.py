@@ -18,8 +18,7 @@ Execution plan:
    flat dense offsets via :func:`repro.core.addressing.dense_strides`;
    each kernel scatter-aggregates into dense accumulators, then the
    2^N super-aggregate fold projects one dimension at a time, smallest
-   cardinality first, through the shared slab addressing
-   (:func:`repro.core.addressing.iter_slab_offsets`).
+   cardinality first, one numpy reduction per array and axis.
 4. **Vector half, sparse route** (otherwise): Section 5's "compute
    the super-aggregates from the core" on kernel arrays.  A key pass
    numbers the core's cells in first-seen row order
@@ -39,9 +38,9 @@ Execution plan:
    one bulk ``handles()`` decode per kernel and one ``fn.end`` per
    handle.
 
-The kernels auto-select numpy when importable and fall back to pure
-python otherwise (``force_python=True`` pins the fallback, used by the
-parity tests and the no-numpy CI leg).
+The kernels run on numpy.  Without it every position is residual, so
+the whole task takes the row path (step 2's fallback) after the batch
+step, which still forms the table's encoded image.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from repro.compute.columnar.core import (
 from repro.compute.columnar.kernels import kernel_for, make_state
 from repro.compute.from_core import smallest_computed_parent
 from repro.compute.stats import ComputeStats
-from repro.core.addressing import dense_shape, dense_strides, iter_slab_offsets
+from repro.core.addressing import dense_shape, dense_strides
 from repro.core.lattice import CubeLattice
 from repro.engine.table import Table
 from repro.obs import instrument, trace
@@ -81,21 +80,18 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
 
     - ``dense_budget``: max dense slots (``prod(Ci+1)``) before the
       sparse route takes over (``mode="auto"``);
-    - ``mode``: ``"auto"`` | ``"dense"`` | ``"sparse"`` route pin;
-    - ``force_python``: skip numpy even when importable.
+    - ``mode``: ``"auto"`` | ``"dense"`` | ``"sparse"`` route pin.
     """
 
     name = "columnar"
 
     def __init__(self, dense_budget: int = 1 << 20, *,
-                 mode: str = "auto",
-                 force_python: bool = False) -> None:
+                 mode: str = "auto") -> None:
         if mode not in ("auto", "dense", "sparse"):
             # constructor-arg validation, documented as ValueError
             raise ValueError(f"mode must be auto|dense|sparse, got {mode!r}")  # repro: allow-S004
         self.dense_budget = dense_budget
         self.mode = mode
-        self.force_python = force_python
 
     # -- top level ------------------------------------------------------------
 
@@ -114,11 +110,9 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
             stats.cells_produced = len(cells)
             return CubeResult(table=task.result_table(cells), stats=stats)
 
-        xp = numpy_backend(self.force_python)
-        with trace.span("cube.batch", rows=len(task.rows),
-                        backend="numpy" if xp is not None else "python"):
+        xp = numpy_backend()
+        with trace.span("cube.batch", rows=len(task.rows)):
             batch = ColumnBatch.from_task(task)
-        stats.notes["backend"] = "numpy" if xp is not None else "python"
 
         vector_positions = kernel_positions(task.functions, batch, xp)
         residual_positions = [p for p in range(task.n_aggs)
@@ -143,9 +137,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
                      or (self.mode == "auto"
                          and dense_cells <= self.dense_budget))
         stats.notes["route"] = "dense" if use_dense else "sparse"
-        instrument.record_columnar_batch(stats.notes["backend"],
-                                         stats.notes["route"],
-                                         batch.n_rows)
+        instrument.record_columnar_batch(stats.notes["route"], batch.n_rows)
         if use_dense:
             rows = self._dense(vector_task, batch, columns, xp, stats)
         else:
@@ -231,18 +223,10 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         # row index, projected with min): a cell's grouped values are
         # read from that row, which is what from-core reports
         n_rows = len(task.rows)
-        if xp is None:
-            counts = [0] * dense_slots
-            first = [n_rows] * dense_slots
-            for i, code in enumerate(slots):
-                counts[code] += 1
-                if first[code] > i:
-                    first[code] = i
-        else:
-            counts = xp.zeros(dense_slots, dtype=xp.int64)
-            xp.add.at(counts, slots, 1)
-            first = xp.full(dense_slots, n_rows, dtype=xp.int64)
-            xp.minimum.at(first, slots, xp.arange(n_rows, dtype=xp.int64))
+        counts = xp.zeros(dense_slots, dtype=xp.int64)
+        xp.add.at(counts, slots, 1)
+        first = xp.full(dense_slots, n_rows, dtype=xp.int64)
+        xp.minimum.at(first, slots, xp.arange(n_rows, dtype=xp.int64))
 
         states = []
         for fn, column in zip(task.functions, columns):
@@ -255,28 +239,17 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         for axis in order:
             rctx.checkpoint("columnar projection axis")
             ci = cards[axis]
-            if xp is None:
-                stride = strides[axis]
-                for base in iter_slab_offsets(shape, axis):
-                    target = base + ci * stride
-                    offsets = [base + k * stride for k in range(ci)]
-                    counts[target] = sum(counts[o] for o in offsets)
-                    first[target] = min(first[o] for o in offsets)
-                    for state in states:
-                        for offset in offsets:
-                            state.fold(target, offset)
-            else:
-                core_slice: list = [slice(None)] * n
-                core_slice[axis] = slice(0, ci)
-                all_slice: list = [slice(None)] * n
-                all_slice[axis] = ci
-                core, target = tuple(core_slice), tuple(all_slice)
-                view = counts.reshape(shape)
-                view[target] = view[core].sum(axis=axis)
-                view = first.reshape(shape)
-                view[target] = view[core].min(axis=axis)
-                for state in states:
-                    state.project_np(shape, axis, core, target)
+            core_slice: list = [slice(None)] * n
+            core_slice[axis] = slice(0, ci)
+            all_slice: list = [slice(None)] * n
+            all_slice[axis] = ci
+            core, target = tuple(core_slice), tuple(all_slice)
+            view = counts.reshape(shape)
+            view[target] = view[core].sum(axis=axis)
+            view = first.reshape(shape)
+            view[target] = view[core].min(axis=axis)
+            for state in states:
+                state.project_np(shape, axis, core, target)
             slab_cells = math.prod(shape[i] for i in range(n) if i != axis)
             stats.merge_calls += slab_cells * ci * task.n_aggs
 
@@ -306,8 +279,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         # cells of its smallest computed parent (exact counts), keyed by
         # the packed codes of the parent cells' first rows; a cell's
         # first row is that of the first parent cell folded into it
-        first_rows = {core_mask: (core_rows if xp is None
-                                  else xp.asarray(core_rows, dtype=xp.int64))}
+        first_rows = {core_mask: xp.asarray(core_rows, dtype=xp.int64)}
         # one state per kernel over every lattice cell, node after node
         offsets = {core_mask: 0}
         n_cells = len(core_rows)
@@ -322,9 +294,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
                 ids, firsts = first_seen_ids(flat_offsets(
                     batch, dims, core_strides(batch, dims), xp,
                     rows=parent_rows), xp)
-                first_rows[mask] = (
-                    [parent_rows[i] for i in firsts] if xp is None
-                    else parent_rows[firsts])
+                first_rows[mask] = parent_rows[firsts]
                 offsets[mask] = n_cells
                 n_cells += len(firsts)
                 steps.append((mask, parent, ids))
@@ -348,9 +318,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
             with trace.span("cube.node", dims=task.mask_label(mask),
                             parent_node=task.mask_label(parent),
                             parent_cells=parent_cells) as span:
-                offset = offsets[mask]
-                dst = ([i + offset for i in ids] if xp is None
-                       else ids + offset)
+                dst = ids + offsets[mask]
                 src = range(offsets[parent], offsets[parent] + parent_cells)
                 for state in states:
                     state.fold_at(dst, src)
@@ -361,9 +329,7 @@ class ColumnarCubeAlgorithm(CubeAlgorithm):
         built = list(zip(task.functions, states))
         out: list[tuple] = []
         for mask in task.masks:
-            node_rows = first_rows[mask]
-            if xp is not None:
-                node_rows = node_rows.tolist()
+            node_rows = first_rows[mask].tolist()
             start = offsets[mask]
             out.extend(_emit(task, mask, built,
                              slice(start, start + len(node_rows)),
@@ -396,44 +362,24 @@ def _emit(task: CubeTask, mask: int, built: list[tuple], slots,
 def _occupied(mask: int, counts, first, shape: tuple[int, ...], xp
               ) -> tuple[Any, list[int]]:
     """The flat offsets of ``mask``'s non-empty cells in ascending
-    order (an int64 array on numpy), with each cell's first input row.
+    order (an int64 array), with each cell's first input row.
 
     A mask's cells are the slots holding a real index on its grouped
-    dimensions and the ALL index ``Ci`` on the rest.  numpy takes
-    ``flatnonzero`` over that sub-block, so it touches only occupied
-    slots; pure python walks the sub-block with an odometer.  Both
-    yield the same row-major order.
+    dimensions and the ALL index ``Ci`` on the rest: ``flatnonzero``
+    over that sub-block touches only occupied slots, in row-major
+    order.
     """
     n = len(shape)
     strides = dense_strides(shape)
     grouped = [i for i in range(n) if mask & (1 << i)]
     base = sum((shape[i] - 1) * strides[i]
                for i in range(n) if not mask & (1 << i))
-    if xp is not None:
-        block = counts.reshape(shape)[tuple(
-            slice(0, shape[i] - 1) if mask & (1 << i) else shape[i] - 1
-            for i in range(n))]
-        hits = xp.flatnonzero(block)
-        flats = xp.full(hits.shape, base, dtype=xp.int64)
-        for i in reversed(grouped):  # unravel the block's row-major index
-            hits, index = xp.divmod(hits, shape[i] - 1)
-            flats += index * strides[i]
-        return flats, first[flats].tolist()
-    flats = []
-    index = [0] * len(grouped)
-    while True:
-        flat = base + sum(index[j] * strides[i]
-                          for j, i in enumerate(grouped))
-        if counts[flat] > 0:
-            flats.append(flat)
-        # odometer over the grouped dimensions' real slots
-        position = len(grouped) - 1
-        while position >= 0:
-            index[position] += 1
-            if index[position] < shape[grouped[position]] - 1:
-                break
-            index[position] = 0
-            position -= 1
-        else:
-            break
-    return flats, [first[flat] for flat in flats]
+    block = counts.reshape(shape)[tuple(
+        slice(0, shape[i] - 1) if mask & (1 << i) else shape[i] - 1
+        for i in range(n))]
+    hits = xp.flatnonzero(block)
+    flats = xp.full(hits.shape, base, dtype=xp.int64)
+    for i in reversed(grouped):  # unravel the block's row-major index
+        hits, index = xp.divmod(hits, shape[i] - 1)
+        flats += index * strides[i]
+    return flats, first[flats].tolist()

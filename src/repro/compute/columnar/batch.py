@@ -8,10 +8,11 @@ values become dense"), and each aggregate-input column becomes a typed
 :class:`AggColumn` carrying a float64 buffer plus validity masks.
 
 The buffers are stdlib ``array``/``bytearray`` objects, so the batch
-works without any third-party dependency; when numpy is importable the
-``*_np`` accessors expose the same buffers zero-copy as ndarrays for
-the vectorized kernels.  Which backend runs is decided once per
-computation (see :mod:`repro.compute.columnar.kernels`).
+(and a table's encoded image) forms without any third-party
+dependency; the ``*_np`` accessors expose the same buffers zero-copy as
+ndarrays for the numpy kernels (:mod:`repro.compute.columnar.kernels`).
+Without numpy, :func:`numpy_backend` is None and no kernel runs: every
+consumer takes the row path.
 
 The encoding is done once per *table version*, not once per query: a
 :class:`TableImage` in the source table's memo slot keeps every column
@@ -47,7 +48,7 @@ from repro.types import is_null_or_all
 if TYPE_CHECKING:
     from repro.engine.table import Table
 
-try:  # optional fast path; every code path below works without it
+try:  # the kernels need numpy; without it every cube takes the row path
     import numpy as _numpy
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _numpy = None
@@ -61,9 +62,10 @@ BATCH_ROWS = 256
 HAVE_NUMPY = _numpy is not None
 
 
-def numpy_backend(force_python: bool = False):
-    """The numpy module to vectorize with, or None for pure python."""
-    return None if force_python else _numpy
+def numpy_backend():
+    """The numpy module the kernels run on, or None when numpy is not
+    installed (the caller then takes the row path)."""
+    return _numpy
 
 
 class DictEncodedColumn:
@@ -91,24 +93,22 @@ class DictEncodedColumn:
 class AggColumn:
     """One aggregate-input column.
 
-    ``raw`` keeps the original python objects (the pure-python kernels
-    fold them directly, preserving int/float identity); ``data`` is the
-    float64 image for the numpy kernels, present only when the column
-    is numeric.  ``valid`` marks non-NULL rows; ``nan`` marks NaN rows,
-    which MIN/MAX kernels must skip (mirroring ``_Extreme.accepts``);
-    ``floats`` marks float-typed rows, so the numpy kernels can restore
-    the row path's int-vs-float result types exactly (``sum([1, 2])``
-    is ``3`` but ``sum([1.0, 2.0])`` is ``3.0``).
+    ``data`` is the float64 image for the kernels, present only when
+    the column is numeric.  ``valid`` marks non-NULL rows; ``nan``
+    marks NaN rows, which MIN/MAX kernels must skip (mirroring
+    ``_Extreme.accepts``); ``floats`` marks float-typed rows, so the
+    kernels can restore the row path's int-vs-float result types
+    exactly (``sum([1, 2])`` is ``3`` but ``sum([1.0, 2.0])`` is
+    ``3.0``).
     """
 
-    __slots__ = ("name", "raw", "valid", "nan", "floats", "numeric",
-                 "data", "n_valid", "n_float")
+    __slots__ = ("name", "valid", "nan", "floats", "numeric", "data",
+                 "n_valid", "n_float")
 
-    def __init__(self, name: str, raw: list, valid: bytearray,
-                 nan: bytearray, floats: bytearray, numeric: bool,
-                 data: array | None, n_valid: int, n_float: int) -> None:
+    def __init__(self, name: str, valid: bytearray, nan: bytearray,
+                 floats: bytearray, numeric: bool, data: array | None,
+                 n_valid: int, n_float: int) -> None:
         self.name = name
-        self.raw = raw
         self.valid = valid
         self.nan = nan
         self.floats = floats
@@ -119,16 +119,15 @@ class AggColumn:
 
     def renamed(self, name: str) -> "AggColumn":
         """The same buffers under another name."""
-        return AggColumn(name, self.raw, self.valid, self.nan, self.floats,
-                         self.numeric, self.data, self.n_valid,
-                         self.n_float)
+        return AggColumn(name, self.valid, self.nan, self.floats,
+                         self.numeric, self.data, self.n_valid, self.n_float)
 
     @property
     def mixed_number_types(self) -> bool:
         """True when the column holds both int- and float-typed values.
-        An order-sensitive numpy kernel (MIN/MAX) cannot reconstruct
-        which *type* won a cross-type tie from the float64 image, so
-        such columns stay on exact backends (python kernels, row path).
+        An order-sensitive kernel (MIN/MAX) cannot reconstruct which
+        *type* won a cross-type tie from the float64 image, so such
+        columns stay on the row path.
         """
         return 0 < self.n_float < self.n_valid
 
@@ -190,7 +189,7 @@ class ColumnBatch:
                                                      dim_sources))
         ]
         aggs: list[AggColumn] = []
-        built: list[AggColumn] = []
+        built: list[tuple[list, AggColumn]] = []
         for p, (name, position) in enumerate(zip(task.agg_names,
                                                  agg_sources)):
             if position is not None:
@@ -198,13 +197,13 @@ class ColumnBatch:
                                           rows, n_dims + p).renamed(name))
                 continue
             raw = [row[n_dims + p] for row in rows]
-            for other in built:
-                if all(map(operator.is_, raw, other.raw)):
+            for other_raw, other in built:
+                if all(map(operator.is_, raw, other_raw)):
                     aggs.append(other.renamed(name))
                     break
             else:
                 column = _build_agg_column(name, raw)
-                built.append(column)
+                built.append((raw, column))
                 aggs.append(column)
         return cls(len(rows), dims, aggs)
 
@@ -338,5 +337,5 @@ def _build_agg_column(name: str, raw: list) -> AggColumn:
             for i in range(n):
                 if valid[i]:
                     data[i] = raw[i]
-    return AggColumn(name, raw, valid, nan, floats, numeric, data,
-                     n_valid, n_float)
+    return AggColumn(name, valid, nan, floats, numeric, data, n_valid,
+                     n_float)

@@ -16,12 +16,15 @@ scratchpads* -- :class:`~repro.compute.view_selection.PartialCube`
 under deltas): it groups the batch's rows to first-seen group ids over
 the core dimensions, scatter-aggregates the eligible columns, and
 rebuilds one ordinary ``Handle`` list per group with one bulk decode
-per kernel.  The
-returned :class:`CoreCells` can also report, per cell, the contributing
-row count and each aggregate's accepted-value count (what delta
-maintenance needs to know when a cell or a scratchpad empties) from one
-``bincount`` per distinct validity mask instead of a Python
-``accepts()`` call per row and aggregate.
+per kernel.  Without numpy no column is scattered (the caller folds
+every position on its row loop); the grouping itself -- flat keys,
+first-seen ids, row and accepted counts -- keeps a pure-python
+implementation for that case.  The returned :class:`CoreCells` can
+also report, per cell, the contributing row count and each
+aggregate's accepted-value count (what delta maintenance needs to know
+when a cell or a scratchpad empties) from one ``bincount`` per
+distinct validity mask instead of a Python ``accepts()`` call per row
+and aggregate.
 """
 
 from __future__ import annotations
@@ -46,48 +49,36 @@ __all__ = ["CoreCells", "core_scratchpads", "core_strides",
            "first_seen_ids", "flat_offsets", "kernel_positions"]
 
 
-def _ints_exact(column: AggColumn, xp, float64_image: bool) -> bool:
+def _ints_exact(column: AggColumn, xp) -> bool:
     """Can float64 carry every partial sum of the column's int-typed
     values exactly?  Python ints never round, so a column that could
-    push an integer accumulator past 2**53 stays on the row path (the
-    pure-python kernels fold the raw ints and are exact anyway -- unless
-    they see only the ``float64_image``, as workers reading a slab do)."""
+    push an integer accumulator past 2**53 stays on the row path."""
     if column.n_float == column.n_valid:
         return True
-    if xp is not None:
-        ints = column.data_np(xp)[column.valid_np(xp)
-                                  & ~column.floats_np(xp)]
-        biggest = float(xp.abs(ints).max())
-    elif float64_image:
-        biggest = max(abs(value) for value, valid, is_float
-                      in zip(column.raw, column.valid, column.floats)
-                      if valid and not is_float)
-    else:
-        return True
-    return biggest * column.n_valid <= 2 ** 53
+    ints = column.data_np(xp)[column.valid_np(xp) & ~column.floats_np(xp)]
+    return float(xp.abs(ints).max()) * column.n_valid <= 2 ** 53
 
 
 def kernel_positions(functions: Sequence[AggregateFunction],
-                     batch: ColumnBatch, xp, *,
-                     float64_image: bool = False) -> list[int]:
+                     batch: ColumnBatch, xp) -> list[int]:
     """Positions of the aggregates the kernels can compute exactly: the
     function declared a kernel and its input column satisfies the
     kernel's numeric requirement.  The rest -- holistic aggregates,
     UDAFs, non-numeric SUM inputs -- are the caller's *residual*.
-    ``float64_image`` says the kernels will read only the float64 image
-    (a shared-memory slab), so the pure-python kernels need exact int
-    sums too."""
+    Without numpy (``xp`` is None) the kernels do not run, and every
+    position is residual."""
+    if xp is None:
+        return []
     return [
         p for p, fn in enumerate(functions)
         if kernel_for(fn) is not None
         and (not kernel_needs_numeric(fn)
              or (batch.aggs[p].numeric
-                 and _ints_exact(batch.aggs[p], xp, float64_image)))
+                 and _ints_exact(batch.aggs[p], xp)))
         # a float64 MIN/MAX can't tell which *type* won a cross-type
         # tie, and np.minimum/np.maximum keep the later of 0.0 and -0.0,
-        # so such columns stay on the exact row path (the pure-python
-        # kernels fold raw objects with a strict comparison and are exact)
-        and (xp is None or kernel_for(fn) not in ("min", "max")
+        # so such columns stay on the exact row path
+        and (kernel_for(fn) not in ("min", "max")
              or not (batch.aggs[p].mixed_number_types
                      or _both_zeros(batch.aggs[p], xp)))
     ]

@@ -244,13 +244,13 @@ class PartialCube:
     def _build_core(self) -> None:
         """The one base scan: the core GROUP BY on the columnar kernels
         (:func:`~repro.compute.columnar.core.core_scratchpads`), plus a
-        row fold for the *residual* positions no kernel builds."""
+        row fold for the *residual* positions no kernel builds (every
+        position when numpy is not installed)."""
         task = self._task
         core_mask = self._lattice.core
         self.stats.base_scans += 1
         xp = numpy_backend()
-        with trace.span("cube.batch", rows=len(task.rows),
-                        backend="numpy" if xp is not None else "python"):
+        with trace.span("cube.batch", rows=len(task.rows)):
             batch = ColumnBatch.from_task(task)
         # the numpy VAR kernel rebuilds Welford scratchpads from sums of
         # squares: algebraically equal, rounded differently from the row

@@ -7,17 +7,15 @@ derived quantities: percent-of-total and the *index* of a value
 relation and provides exactly those.
 
 The module also holds the *dense array* addressing arithmetic from
-Section 5 ("each dimension having size Ci+1"): mixed-radix shapes,
-row-major strides, flat offsets, and the slab iteration that projects
-one dimension of the core into its ALL slab.  The columnar backend's
-dense route (which the array algorithm runs) addresses cells through
-these helpers, so the ALL-slot convention (index ``Ci``) lives in
-exactly one place.
+Section 5 ("each dimension having size Ci+1"): mixed-radix shapes and
+row-major strides.  The columnar backend's dense route (which the
+array algorithm runs) addresses cells through these helpers, so the
+ALL-slot convention (index ``Ci``) lives in exactly one place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
@@ -28,8 +26,6 @@ __all__ = [
     "CubeView",
     "dense_shape",
     "dense_strides",
-    "flat_offset",
-    "iter_slab_offsets",
 ]
 
 
@@ -45,38 +41,6 @@ def dense_strides(shape: Sequence[int]) -> tuple[int, ...]:
     for i in range(len(shape) - 2, -1, -1):
         strides[i] = strides[i + 1] * shape[i + 1]
     return tuple(strides)
-
-
-def flat_offset(coords: Sequence[int], strides: Sequence[int]) -> int:
-    """The flat slot of one dense coordinate (mixed-radix encode)."""
-    return sum(c * s for c, s in zip(coords, strides))
-
-
-def iter_slab_offsets(shape: Sequence[int],
-                      axis: int) -> Iterator[int]:
-    """Flat base offsets of every cell with index 0 along ``axis``.
-
-    Projecting a dimension visits each such base cell once, folding the
-    ``Ci`` real slots ``base + k*strides[axis]`` into the ALL slot
-    ``base + Ci*strides[axis]`` -- the paper's "the N-1 dimensional
-    slabs can be computed by projecting one dimension of the core".
-    """
-    strides = dense_strides(shape)
-    odometer = [0] * len(shape)
-    while True:
-        yield flat_offset(odometer, strides)
-        position = len(shape) - 1
-        while position >= 0:
-            if position == axis:
-                position -= 1
-                continue
-            odometer[position] += 1
-            if odometer[position] < shape[position]:
-                break
-            odometer[position] = 0
-            position -= 1
-        else:
-            return
 
 
 class CubeView:

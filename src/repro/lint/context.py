@@ -255,9 +255,8 @@ def _context_from_select(select: SelectStmt,
     aggregates = [_sql_aggregate_info(a) for a in bound.aggregates]
     seen = {a.key for a in bound.aggregates}
 
-    # GROUPING() calls and scalar function names; statement-level ORDER
-    # BY aggregates join the bound ones
-    grouping_calls: list[str] = []
+    # scalar function names; statement-level ORDER BY aggregates join
+    # the bound ones (GROUPING() columns come from the binder)
     unknown_functions: list[str] = []
 
     roots = select_roots(bound.select)
@@ -270,8 +269,6 @@ def _context_from_select(select: SelectStmt,
                 seen.add(node.key())
                 aggregates.append(_sql_aggregate_info(bind_aggregate(
                     node, registry, node.default_name())))
-        elif isinstance(node, GroupingCall):
-            grouping_calls.append(node.column)
         elif isinstance(node, FunctionCall):
             # the Section 4 alias-addressing shorthand makes an
             # aggregate's select alias callable; anything else must
@@ -299,7 +296,7 @@ def _context_from_select(select: SelectStmt,
         null_mode=null_mode,
         table=table,
         total_rows=len(table) if table is not None else None,
-        grouping_calls=tuple(grouping_calls),
+        grouping_calls=bound.grouping_columns,
         nongrouped_outputs=tuple(dict.fromkeys(
             name for names in (*bound.ungrouped, bound.having_ungrouped,
                                bound.order_ungrouped)

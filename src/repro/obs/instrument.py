@@ -16,8 +16,8 @@ metric                                         kind       labels
 ``repro_cube_cells_produced_total``            counter    --
 ``repro_cube_iter_calls_total``                counter    --
 ``repro_cube_merge_calls_total``               counter    --
-``repro_columnar_batches_total``               counter    ``backend`` (numpy/python), ``route`` (dense/sparse)
-``repro_columnar_rows_batched_total``          counter    ``backend``
+``repro_columnar_batches_total``               counter    ``route`` (dense/sparse)
+``repro_columnar_rows_batched_total``          counter    --
 ``repro_cube_sort_operations_total``           counter    --
 ``repro_cube_sort_spills_total``               counter    --
 ``repro_groupby_operations_total``             counter    ``strategy`` (hash/sort)
@@ -50,7 +50,7 @@ metric                                         kind       labels
 ``repro_serve_async_connections_total``        counter    --
 ``repro_serve_async_open_connections``         gauge      --
 ``repro_serve_drained_queries_total``          counter    --
-``repro_cluster_computes_total``               counter    ``backend`` (numpy/python)
+``repro_cluster_computes_total``               counter    --
 ``repro_cluster_rows_shipped_total``           counter    --
 ``repro_cluster_slab_bytes_total``             counter    --
 ``repro_cluster_worker_restarts_total``        counter    --
@@ -180,17 +180,16 @@ def record_cube_compute(stats: "ComputeStats", duration_s: float, *,
                      ).inc(stats.spills)
 
 
-def record_columnar_batch(backend: str, route: str, rows: int) -> None:
-    """The columnar algorithm batched one task's rows into typed
-    columns (``backend``: numpy/python; ``route``: dense/sparse)."""
+def record_columnar_batch(route: str, rows: int) -> None:
+    """The columnar algorithm ran one task's typed columns on the
+    kernels (``route``: dense/sparse)."""
     if not REGISTRY.enabled:
         return
     REGISTRY.counter("repro_columnar_batches_total",
-                     help="columnar batches by backend and route",
-                     backend=backend, route=route).inc()
+                     help="columnar batches by route",
+                     route=route).inc()
     REGISTRY.counter("repro_columnar_rows_batched_total",
-                     help="rows batched into typed columns",
-                     backend=backend).inc(rows)
+                     help="rows batched into typed columns").inc(rows)
 
 
 def record_groupby(strategy: str, rows: int, groups: int) -> None:
@@ -520,14 +519,13 @@ def record_recovery(outcome: str) -> None:
                      outcome=outcome).inc()
 
 
-def record_cluster_compute(backend: str, rows: int, slab_bytes: int) -> None:
+def record_cluster_compute(rows: int, slab_bytes: int) -> None:
     """The cluster algorithm shipped one batch to the worker-process
-    pool (``backend``: the kernels the workers ran, numpy/python)."""
+    pool."""
     if not REGISTRY.enabled:
         return
     REGISTRY.counter("repro_cluster_computes_total",
-                     help="cluster scatter/gather computations",
-                     backend=backend).inc()
+                     help="cluster scatter/gather computations").inc()
     REGISTRY.counter("repro_cluster_rows_shipped_total",
                      help="rows shipped through shared-memory slabs"
                      ).inc(rows)

@@ -17,7 +17,10 @@ cache key and the linter all read its :class:`BoundSelect`:
 - per select item of a grouped SELECT, the **ungrouped** columns it
   reads (Section 3.5), and those HAVING and the statement's ORDER BY
   read outside the dimension outputs, aggregate outputs and select
-  aliases, which the executor rejects and the linter reports as C004.
+  aliases, which the executor rejects and the linter reports as C004;
+- the columns ``GROUPING()`` names in the select list, HAVING and that
+  ORDER BY, which the executor checks against the dimensions and the
+  linter reads for C003 and C005.
 
 Problems are recorded, not raised: the executor raises a recorded
 error at the pipeline step that needs the broken part, and the linter
@@ -290,6 +293,9 @@ class BoundSelect:
     #: the ungrouped columns HAVING reads, then those ORDER BY reads
     having_ungrouped: tuple[str, ...]
     order_ungrouped: tuple[str, ...]
+    #: the columns GROUPING() names in the select list, HAVING and
+    #: ORDER BY, in walk order
+    grouping_columns: tuple[str, ...] = ()
 
     def spec(self) -> GroupingSpec:
         """The grouping specification (raises
@@ -370,12 +376,18 @@ def bind(select: SelectStmt, registry: AggregateRegistry,
         order_ungrouped = tuple(dict.fromkeys(
             name for item in order_by for name in _loose_columns(
                 item.expression, outputs, alias_cells)))
+    grouping_columns = tuple(
+        node.column
+        for root in [*select_roots(select),
+                     *(item.expression for item in order_by)]
+        for node in walk(root) if isinstance(node, GroupingCall))
     return BoundSelect(select=select, slots=slots, dims=dims, plain=plain,
                        rollup=rollup, cube=cube,
                        aggregates=tuple(aggregates),
                        alias_cells=alias_cells, ungrouped=ungrouped,
                        having_ungrouped=having_ungrouped,
-                       order_ungrouped=order_ungrouped)
+                       order_ungrouped=order_ungrouped,
+                       grouping_columns=grouping_columns)
 
 
 def _loose_columns(expr: Any, allowed: set[str],

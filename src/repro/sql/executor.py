@@ -684,6 +684,9 @@ class SQLSession:
 
         # rewrite select/having expressions against the grouped schema
         dim_name_set = {name for _, name in dims}
+        # the binder's record of GROUPING() columns; the rewrite raises
+        # at the first call that names an ungrouped one, clause by clause
+        not_grouped = set(bound.grouping_columns) - dim_name_set
 
         # the Section 4 shorthand: an aggregate's select alias becomes a
         # cell-addressing function -- `SUM(Sales) AS total` makes
@@ -695,7 +698,7 @@ class SQLSession:
             if isinstance(expr, AggregateCall):
                 return ColumnRef(agg_names[expr.key()])
             if isinstance(expr, GroupingCall):
-                if expr.column not in dim_name_set:
+                if expr.column in not_grouped:
                     raise SQLPlanError(
                         f"GROUPING({expr.column}) references a column "
                         "that is not grouped")

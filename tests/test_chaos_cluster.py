@@ -7,9 +7,12 @@ The CI chaos-matrix job re-runs this module under several
 
 import os
 
+import pytest
+
 from repro import agg
 from repro.cluster import ClusterCubeAlgorithm, shutdown_pools
 from repro.cluster.pool import get_pool
+from repro.compute.columnar.batch import HAVE_NUMPY
 from repro.core.cube import cube_with_stats
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import tracing
@@ -29,6 +32,8 @@ def _bit_rows(table):
     return sorted(tuple(map(repr, row)) for row in table.rows)
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="without numpy the cluster "
+                    "runs on its thread runner: no worker process to kill")
 class TestClusterWorkerCrash:
     def test_certain_crashes_still_yield_the_columnar_cube(self, figure4):
         """rate=1.0: every dispatch (and every retry) kills its worker

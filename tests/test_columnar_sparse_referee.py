@@ -1,6 +1,7 @@
 """Referee for the columnar sparse route: it must return from-core's
-rows list for list -- same order, same ``repr`` -- on both kernel
-backends, and report the same logical work counters.
+rows list for list -- same order, same ``repr`` -- and report the same
+logical work counters; without numpy every kernel consumer must return
+its row path's answer.
 
 The inputs are the ones exact float folds get wrong first: 2-decimal
 prices and ``random()*1e3`` (float SUM/AVG depend on merge order), a
@@ -40,11 +41,6 @@ LATTICES = {
     # GROUPING SETS ((d0,d1,d2), (d0,d1), (d0,d2), (d0), ()): connected
     "grouping_sets": [0b111, 0b011, 0b101, 0b001, 0b000],
 }
-
-BACKENDS = [pytest.param(True, id="python"),
-            pytest.param(False, id="numpy",
-                         marks=pytest.mark.skipif(
-                             not HAVE_NUMPY, reason="numpy not installed"))]
 
 COUNTERS = ("iter_calls", "merge_calls", "start_calls", "end_calls",
             "cells_produced", "max_resident_cells")
@@ -93,31 +89,29 @@ def _run(algorithm, task):
     return [repr(row) for row in result.table.rows], result.stats
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
 class TestSparseEqualsFromCore:
-    def test_rows_identical_in_order_and_repr(self, lattice, force_python):
-        # numpy VARIANCE folds (n, sum, sum of squares): rounded
+    def test_rows_identical_in_order_and_repr(self, lattice):
+        # the VARIANCE kernel folds (n, sum, sum of squares): rounded
         # differently from the row path's Welford merge by design
-        task = _task(LATTICES[lattice], with_variance=force_python)
-        sparse = ColumnarCubeAlgorithm(mode="sparse",
-                                       force_python=force_python)
+        task = _task(LATTICES[lattice], with_variance=False)
+        sparse = ColumnarCubeAlgorithm(mode="sparse")
         got, stats = _run(sparse, task)
         expected, _ = _run(FromCoreAlgorithm(), task)
         assert stats.notes["route"] == "sparse"
         assert got == expected
 
-    def test_work_counters_match_from_core(self, lattice, force_python):
-        task = _task(LATTICES[lattice], with_variance=force_python)
-        sparse = ColumnarCubeAlgorithm(mode="sparse",
-                                       force_python=force_python)
+    def test_work_counters_match_from_core(self, lattice):
+        task = _task(LATTICES[lattice], with_variance=False)
+        sparse = ColumnarCubeAlgorithm(mode="sparse")
         _, stats = _run(sparse, task)
         _, reference = _run(FromCoreAlgorithm(), task)
         assert ({name: getattr(stats, name) for name in COUNTERS}
                 == {name: getattr(reference, name) for name in COUNTERS})
 
 
-@pytest.mark.parametrize("force_python,expected", [
+@pytest.mark.parametrize("hide_numpy,expected", [
     pytest.param(True, {"iter_calls": 12288, "merge_calls": 4884,
                         "start_calls": 2640, "end_calls": 2640,
                         "cells_produced": 120, "max_resident_cells": 120},
@@ -128,13 +122,15 @@ class TestSparseEqualsFromCore:
                  id="numpy", marks=pytest.mark.skipif(
                      not HAVE_NUMPY, reason="numpy not installed")),
 ])
-def test_cube_counters_pinned(force_python, expected):
+def test_cube_counters_pinned(hide_numpy, expected, request):
     """The logical counts of the 3-dim CUBE: one Iter per accepted
     value, one Iter_super per parent cell and aggregate, one Init and
-    one Final per cell, every lattice cell resident at the peak."""
-    task = _task(LATTICES["cube"], with_variance=force_python)
-    _, stats = _run(ColumnarCubeAlgorithm(mode="sparse",
-                                          force_python=force_python), task)
+    one Final per cell, every lattice cell resident at the peak.  With
+    numpy hidden (VARIANCE/STDEV included) they are from-core's."""
+    if hide_numpy:
+        request.getfixturevalue("no_numpy")
+    task = _task(LATTICES["cube"], with_variance=hide_numpy)
+    _, stats = _run(ColumnarCubeAlgorithm(mode="sparse"), task)
     assert {name: getattr(stats, name) for name in COUNTERS} == expected
 
 
@@ -190,3 +186,35 @@ class TestWithoutNumpy:
         expected, _ = _run(FromCoreAlgorithm(), task)
         assert (_through_the_cache(task, _specs(with_variance=True))
                 == sorted(expected))
+
+
+def _array_task(masks):
+    """The referee's table under the aggregates the ``array``
+    algorithm accepts (distributive COUNT/SUM/MIN/MAX)."""
+    table = Table([("d0", "ANY"), ("d1", "ANY"), ("d2", "STRING"),
+                   ("price", "FLOAT"), ("rand", "FLOAT"), ("wild", "ANY")],
+                  _rows())
+    specs = [spec for spec in _specs(with_variance=False)
+             if isinstance(spec.function, (Count, CountStar, Sum, Min,
+                                           Max))]
+    return build_task(table, ["d0", "d1", "d2"], specs, masks)
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("make,build", [
+    pytest.param(ColumnarCubeAlgorithm,
+                 lambda masks: _task(masks, with_variance=True),
+                 id="columnar-auto"),
+    pytest.param(lambda: ColumnarCubeAlgorithm(mode="dense"),
+                 lambda masks: _task(masks, with_variance=True),
+                 id="columnar-dense"),
+    pytest.param(lambda: __import__(
+        "repro.compute.array_cube", fromlist=["x"]).ArrayCubeAlgorithm(),
+                 _array_task, id="array"),
+])
+def test_dense_routes_equal_from_core_without_numpy(lattice, make, build,
+                                                     no_numpy):
+    task = build(LATTICES[lattice])
+    got, _ = _run(make(), task)
+    expected, _ = _run(FromCoreAlgorithm(), task)
+    assert got == expected

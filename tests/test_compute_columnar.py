@@ -7,6 +7,8 @@ encoding order, notes, the threshold gate).
 """
 
 import math
+import warnings
+from unittest import mock
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.compute.columnar import (
     kernel_for,
     kernel_needs_numeric,
 )
+from repro.compute.columnar import batch as columnar_batch
 from repro.compute.columnar.batch import numpy_backend
 from repro.compute.columnar.kernels import make_state
 from repro.compute.optimizer import explain_choice
@@ -38,6 +41,7 @@ from repro.core.grouping import cube_sets
 from repro.engine.groupby import AggregateSpec
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def make_task(rows, specs, n_dims=2):
@@ -107,8 +111,11 @@ class TestColumnBatch:
         assert batch.n_rows == 2
         assert [c.name for c in batch.dims] == ["d0", "d1"]
         assert [c.name for c in batch.aggs] == ["s", "lo"]
-        assert batch.aggs[0].raw == [10, None]
-        assert batch.aggs[1].raw == [1.0, NAN]
+        assert list(batch.aggs[0].valid) == [1, 0]
+        assert list(batch.aggs[0].data) == [10.0, 0.0]
+        assert list(batch.aggs[1].valid) == [1, 1]
+        assert list(batch.aggs[1].nan) == [0, 1]
+        assert batch.aggs[1].data[0] == 1.0
 
 
 class TestKernelRegistry:
@@ -204,6 +211,7 @@ class TestColumnarAlgorithm:
         with pytest.raises(ValueError):
             ColumnarCubeAlgorithm(mode="bogus")
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_auto_routes_by_dense_budget(self):
         task = make_task(self.ROWS, self.SPECS)
         dense = ColumnarCubeAlgorithm(dense_budget=1 << 20).compute(task)
@@ -212,14 +220,6 @@ class TestColumnarAlgorithm:
         assert sparse.stats.notes["route"] == "sparse"
         assert dense.table.equals_bag(sparse.table)
 
-    def test_backend_note(self):
-        task = make_task(self.ROWS, self.SPECS)
-        forced = ColumnarCubeAlgorithm(force_python=True).compute(task)
-        assert forced.stats.notes["backend"] == "python"
-        auto = ColumnarCubeAlgorithm().compute(task)
-        expected = "numpy" if HAVE_NUMPY else "python"
-        assert auto.stats.notes["backend"] == expected
-
     def test_all_holistic_falls_back_to_row_path(self):
         task = make_task(self.ROWS,
                          [AggregateSpec(Median(carrying=True), "x", "m")])
@@ -227,6 +227,7 @@ class TestColumnarAlgorithm:
         assert result.stats.algorithm == "columnar"
         assert result.stats.notes["fallback"] == "from-core"
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_non_numeric_measure_joins_residual(self):
         rows = [("a", "p", 1.0, "u"), ("b", "q", 2.0, "v"),
                 ("a", "q", 3.0, "u")]
@@ -240,7 +241,6 @@ class TestColumnarAlgorithm:
             NaiveUnionAlgorithm().compute(task).table)
 
     def test_numpy_backend_helper(self):
-        assert numpy_backend(force_python=True) is None
         if HAVE_NUMPY:
             import numpy as np
             assert numpy_backend() is np
@@ -310,17 +310,25 @@ def _through_the_cache(table, dims, specs, masks):
                   for row in cube.answer(mask).rows)
 
 
-#: every columnar route on both backends, plus the array algorithm
+def _hiding_numpy(make):
+    """A factory for ``make()``'s algorithm computing with numpy hidden
+    (it then takes the row path)."""
+    class Hidden:
+        def compute(self, task):
+            with mock.patch.object(columnar_batch, "_numpy", None):
+                return make().compute(task)
+    return Hidden
+
+
+#: every columnar route with numpy and with numpy hidden
 DENSE_ROUTES = [
     pytest.param(lambda: ColumnarCubeAlgorithm(mode="dense"),
                  id="columnar-dense"),
-    pytest.param(lambda: ColumnarCubeAlgorithm(mode="dense",
-                                               force_python=True),
+    pytest.param(_hiding_numpy(lambda: ColumnarCubeAlgorithm(mode="dense")),
                  id="columnar-dense-python"),
     pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse"),
                  id="columnar-sparse"),
-    pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse",
-                                               force_python=True),
+    pytest.param(_hiding_numpy(lambda: ColumnarCubeAlgorithm(mode="sparse")),
                  id="columnar-sparse-python"),
 ]
 
@@ -420,19 +428,42 @@ class TestSignedZeroExtremes:
                           [AggregateSpec(Min(), "m", "lo"),
                            AggregateSpec(Max(), "m", "hi")], cube_sets(2))
 
-    # the pure-python dense route folds slabs in slot order, not
-    # from-core's parent order, so its ties are not compared here
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda: ColumnarCubeAlgorithm(mode="dense"),
-                     id="columnar-dense", marks=pytest.mark.skipif(
-                         not HAVE_NUMPY, reason="numpy not installed")),
-        pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse"),
-                     id="columnar-sparse"),
-        pytest.param(lambda: ColumnarCubeAlgorithm(mode="sparse",
-                                                   force_python=True),
-                     id="columnar-sparse-python"),
-    ])
+    @pytest.mark.parametrize("make", DENSE_ROUTES)
     def test_routes_keep_the_first_zero(self, make):
         task = self.task()
         got = _cube_reprs(make().compute(task).table)
         assert got == _from_core(task)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestNoIEEEWarnings:
+    """The row path computes ``inf + -inf`` as NaN and an overflowing
+    square as inf without a word; the kernels must too, rather than
+    print numpy's ``RuntimeWarning`` to the caller."""
+
+    def task(self, values, specs):
+        rows = [(("a", "b")[i % 2], ("p", "q")[i // 2 % 2], value)
+                for i, value in enumerate(values * 4)]
+        table = Table([("d", "STRING"), ("e", "STRING"), ("m", "FLOAT")],
+                      rows)
+        return build_task(table, ["d", "e"], specs, cube_sets(2))
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_opposite_infinities_sum_to_nan_silently(self, mode):
+        task = self.task([INF, -INF, 1.0],
+                         [AggregateSpec(Sum(), "m", "s"),
+                          AggregateSpec(Average(), "m", "a")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cube_reprs(
+                ColumnarCubeAlgorithm(mode=mode).compute(task).table)
+        assert got == _from_core(task)
+        assert "(ALL, ALL, nan, nan)" in got
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_overflowing_variance_is_silent(self, mode):
+        task = self.task([1e200, 2e200], [AggregateSpec(Variance(), "m",
+                                                        "v")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ColumnarCubeAlgorithm(mode=mode).compute(task)

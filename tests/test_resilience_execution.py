@@ -23,7 +23,7 @@ from repro.sql.executor import SQLSession
 DIMS = ["Model", "Year", "Color"]
 AGGS = [agg("SUM", "Units", "Units")]
 
-#: the columnar sparse route on each kernel backend
+#: the columnar sparse route with numpy hidden and with numpy
 SPARSE_COLUMNAR = [
     pytest.param(True, id="python"),
     pytest.param(False, id="numpy", marks=pytest.mark.skipif(
@@ -96,12 +96,13 @@ class TestGracefulDegradation:
         assert result.stats.notes["degraded_from"] == algorithm
         assert result.stats.algorithm == "external"
 
-    @pytest.mark.parametrize("force_python", SPARSE_COLUMNAR)
+    @pytest.mark.parametrize("hide_numpy", SPARSE_COLUMNAR)
     def test_sparse_columnar_budget_breach_degrades_with_identical_results(
-            self, sales, force_python):
+            self, sales, hide_numpy, request):
+        if hide_numpy:
+            request.getfixturevalue("no_numpy")
         ctx = ExecutionContext(memory_budget=2)
-        algorithm = ColumnarCubeAlgorithm(mode="sparse",
-                                          force_python=force_python)
+        algorithm = ColumnarCubeAlgorithm(mode="sparse")
         result = cube_with_stats(sales, DIMS, AGGS, algorithm=algorithm,
                                  context=ctx, sort_result=True)
         expected = cube(sales, DIMS, AGGS, sort_result=True)
@@ -153,13 +154,14 @@ class TestGracefulDegradation:
         assert ctx.resident_cells == 0
         assert ctx.peak_cells > 0
 
-    @pytest.mark.parametrize("force_python", SPARSE_COLUMNAR)
+    @pytest.mark.parametrize("hide_numpy", SPARSE_COLUMNAR)
     def test_accountant_is_balanced_after_a_sparse_columnar_run(
-            self, sales, force_python):
+            self, sales, hide_numpy, request):
+        if hide_numpy:
+            request.getfixturevalue("no_numpy")
         ctx = ExecutionContext(memory_budget=10_000)
         cube(sales, DIMS, AGGS, context=ctx,
-             algorithm=ColumnarCubeAlgorithm(mode="sparse",
-                                             force_python=force_python))
+             algorithm=ColumnarCubeAlgorithm(mode="sparse"))
         assert ctx.resident_cells == 0
         # the peak is the whole lattice: the Sales cube's 27 cells
         assert ctx.peak_cells == 27

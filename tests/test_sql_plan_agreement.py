@@ -8,7 +8,7 @@ import re
 import pytest
 
 from repro import Catalog
-from repro.compute.columnar import ColumnarCubeAlgorithm
+from repro.compute.columnar import HAVE_NUMPY, ColumnarCubeAlgorithm
 from repro.compute.external import ExternalCubeAlgorithm
 from repro.core.cube import agg, cube_with_stats
 from repro.data import SyntheticSpec, synthetic_table
@@ -153,6 +153,8 @@ class TestPinnedAlgorithmBudgets:
         assert sql_budget == lib_budget == 4
         assert sql_stats.partitions == lib_stats.partitions
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed: "
+                        "columnar takes the row path, no route")
     def test_columnar_uses_the_session_dense_budget(self, monkeypatch,
                                                     catalog):
         seen = spy_budget(monkeypatch, ColumnarCubeAlgorithm,

@@ -94,7 +94,8 @@ class TestReuse:
         sum_col, avg_col, min_col, ones = batch.aggs
         assert sum_col.valid is avg_col.valid is min_col.valid
         assert [c.name for c in batch.aggs] == ["s", "a", "lo", "n"]
-        assert list(ones.raw) == [1] * len(ROWS)
+        assert list(ones.valid) == [1] * len(ROWS)
+        assert list(ones.data) == [1.0] * len(ROWS)
         assert encodes.count("agg") == 2
 
     def test_repeated_cube_answers_do_not_change(self):
